@@ -56,16 +56,12 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# bench-json regenerates the committed performance records: the
-# scheduling/cache ablation (BENCH_sched.json), the batched hot-loop
-# bench (BENCH_hotloop.json), and the shared-coverage merge pair
-# (BENCH_cover.json), all at the default seed and budget. README's
-# Performance section and docs/PERFORMANCE.md quote these files;
-# bench-gate compares fresh runs against them.
+# bench-json regenerates the committed performance record: the
+# scheduling/cache ablation (BENCH_sched.json) at the default seed and
+# budget. README's Performance section and docs/PERFORMANCE.md quote
+# it; bench-gate compares fresh runs against it.
 bench-json:
-	$(GO) run ./cmd/experiments -run schedbench,hotloopbench,coverbench \
-		-out BENCH_sched.json -hotloop-out BENCH_hotloop.json \
-		-cover-out BENCH_cover.json
+	$(GO) run ./cmd/experiments -run schedbench -out BENCH_sched.json
 
 # bench-smoke is the check-gate variant: a tiny budget, throwaway
 # output — proves the ablation path end to end without the full cost.
@@ -75,12 +71,11 @@ bench-smoke:
 	@rm -f .bench-smoke.json
 
 # bench-gate is the performance regression gate (docs/PERFORMANCE.md):
-# the always-on allocation budget for the hot loop, then full-budget
-# reruns of schedbench and hotloopbench compared against the committed
-# BENCH_*.json — fails if steady-state ticks allocate, if edges/sec
-# regresses more than 10%, or if any tick/edge/crash count drifts (a
-# determinism break outranks any speedup). Opt into it from check with
-# BENCH_GATE=1.
+# the always-on allocation budget for the hot loop, then a full-budget
+# rerun of schedbench compared against the committed BENCH_sched.json —
+# fails if steady-state ticks allocate, if edges/sec regresses more
+# than 10%, or if any tick/edge/crash count drifts (a determinism break
+# outranks any speedup). Opt into it from check with BENCH_GATE=1.
 bench-gate:
 	$(GO) test -run TestHotLoopAllocBudget -count=1 .
 	$(GO) run ./cmd/experiments -run benchgate

@@ -17,7 +17,6 @@ import (
 
 	"github.com/icsnju/metamut-go/internal/cast"
 	"github.com/icsnju/metamut-go/internal/compilersim"
-	"github.com/icsnju/metamut-go/internal/compilersim/cover"
 	"github.com/icsnju/metamut-go/internal/core"
 	"github.com/icsnju/metamut-go/internal/engine"
 	"github.com/icsnju/metamut-go/internal/experiments"
@@ -397,73 +396,6 @@ func badMutant(b *testing.B) string {
 		b.Fatal("bad-mutant rewrite changed nothing")
 	}
 	return out.Output
-}
-
-// ---------------------------------------------------------------------
-// Shared coverage: global mutex vs. sharded stripes
-// ---------------------------------------------------------------------
-
-// lockedCoverage is the pre-engine SharedCoverage design: one mutex
-// around one map, serializing every novelty probe. Kept here as the
-// baseline the sharded implementation is measured against.
-type lockedCoverage struct {
-	mu  sync.Mutex
-	cov *cover.Map
-}
-
-func (l *lockedCoverage) MergeIfNew(m *cover.Map) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.cov.HasNew(m) {
-		return false
-	}
-	l.cov.Merge(m)
-	return true
-}
-
-// coverageWorkload compiles a batch of seed programs and keeps their
-// edge maps. The maps overlap heavily (same compiler, similar paths),
-// so after a brief warm-up almost every MergeIfNew is a pure novelty
-// probe — the read-mostly steady state of a real campaign, and exactly
-// where the global mutex hurts and the sharded stripes don't.
-func coverageWorkload(b *testing.B) []*cover.Map {
-	b.Helper()
-	comp := compilersim.New("gcc", 14)
-	var maps []*cover.Map
-	for _, src := range seeds.Generate(32, 17) {
-		if res := comp.Compile(src, compilersim.DefaultOptions()); res.Coverage != nil {
-			maps = append(maps, res.Coverage)
-		}
-	}
-	if len(maps) == 0 {
-		b.Fatal("seed batch produced no coverage")
-	}
-	return maps
-}
-
-func benchSharedCoverage(b *testing.B, sink fuzz.CoverageSink) {
-	maps := coverageWorkload(b)
-	for _, m := range maps { // absorb the first-merge novelty burst
-		sink.MergeIfNew(m)
-	}
-	b.SetParallelism(4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			sink.MergeIfNew(maps[i%len(maps)])
-			i++
-		}
-	})
-}
-
-func BenchmarkSharedCoverageGlobal(b *testing.B) {
-	benchSharedCoverage(b, &lockedCoverage{cov: cover.NewMap()})
-}
-
-func BenchmarkSharedCoverageSharded(b *testing.B) {
-	benchSharedCoverage(b, fuzz.NewSharedCoverage())
 }
 
 // ---------------------------------------------------------------------

@@ -8,8 +8,6 @@
 //	experiments -run table6
 //	experiments -run mutators       # section 4.1 registry stats
 //	experiments -run schedbench     # scheduling/cache ablation -> BENCH_sched.json
-//	experiments -run hotloopbench   # batched hot-loop bench -> BENCH_hotloop.json
-//	experiments -run coverbench     # shared-coverage merge pair -> BENCH_cover.json
 //	experiments -run benchgate      # compare fresh benches vs committed BENCH files
 //	experiments -run flightreport -flight-journal flight.jsonl
 //
@@ -17,12 +15,9 @@
 // -sched switches the μCFuzz/macro campaigns between the legacy
 // uniform shuffle (default) and the adaptive UCB bandit; schedbench
 // runs both, with the mutant cache off and on, and writes the result
-// to -out (default BENCH_sched.json). hotloopbench times the same
-// campaign with reward batching off and on (-hotloop-out), coverbench
-// times the shared-coverage locking pair (-cover-out), and benchgate
-// re-runs the campaign benches and exits nonzero if throughput
-// regresses >10% vs the committed BENCH files or determinism breaks
-// (see docs/PERFORMANCE.md).
+// to -out (default BENCH_sched.json). benchgate re-runs schedbench and
+// exits nonzero if throughput regresses >10% vs the committed
+// BENCH_sched.json or determinism breaks (see docs/PERFORMANCE.md).
 //
 // The table6 campaign runs on the parallel engine: -workers sets the
 // goroutine count (results are identical at any value), -checkpoint DIR
@@ -62,7 +57,7 @@ import (
 
 func main() {
 	var (
-		run         = flag.String("run", "all", "comma-separated experiments: table1,table2,table3,rq1,table5,table6,mutators,schedbench,hotloopbench,coverbench,benchgate,flightreport,all")
+		run         = flag.String("run", "all", "comma-separated experiments: table1,table2,table3,rq1,table5,table6,mutators,schedbench,benchgate,flightreport,all")
 		seed        = flag.Int64("seed", 20240427, "random seed")
 		steps       = flag.Int("steps", 4000, "RQ1 compilations per fuzzer per compiler")
 		table5Steps = flag.Int("table5steps", 800, "compilations per Table 5 repetition")
@@ -75,11 +70,9 @@ func main() {
 		triageOut   = flag.String("triage-out", "", "table6: directory for per-compiler triage reports (JSON)")
 		triageRed   = flag.Bool("triage-reduce", false, "table6: minimize each triaged witness (slower)")
 		schedKind   = flag.String("sched", "", "mutator scheduling for rq1/table5/table6: uniform (default) or adaptive")
-		benchSteps  = flag.Int("schedbench-steps", 6000, "schedbench/hotloopbench/benchgate: compilations per bench variant")
+		benchSteps  = flag.Int("schedbench-steps", 6000, "schedbench/benchgate: compilations per bench variant")
 		benchOut    = flag.String("out", "BENCH_sched.json", "schedbench: where to write the JSON result")
-		hotloopOut  = flag.String("hotloop-out", "BENCH_hotloop.json", "hotloopbench: where to write the JSON result")
-		coverOut    = flag.String("cover-out", "BENCH_cover.json", "coverbench: where to write the JSON result")
-		benchDir    = flag.String("bench-dir", ".", "benchgate: directory holding the committed BENCH_*.json files")
+		benchDir    = flag.String("bench-dir", ".", "benchgate: directory holding the committed BENCH_sched.json")
 		flightIn    = flag.String("flight-journal", "", "flightreport: flight journal (JSONL) to replay")
 		flightMet   = flag.String("flight-metrics", "", "flightreport: metrics snapshot JSON to join stage latency from")
 	)
@@ -211,39 +204,9 @@ func main() {
 		}
 		ran = true
 	}
-	if want["hotloopbench"] {
-		// Like schedbench: a performance record, not a paper table, so
-		// not part of -run all. BENCH_hotloop.json is its committed record.
-		sp := reg.Span("hotloopbench")
-		r := experiments.RunHotLoopBench(cfg)
-		sp.End()
-		fmt.Println(r.Render())
-		if *hotloopOut != "" {
-			if err := r.WriteJSON(*hotloopOut); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("hot-loop bench written to %s\n", *hotloopOut)
-		}
-		ran = true
-	}
-	if want["coverbench"] {
-		sp := reg.Span("coverbench")
-		r := experiments.RunCoverBench()
-		sp.End()
-		fmt.Println(r.Render())
-		if *coverOut != "" {
-			if err := r.WriteJSON(*coverOut); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("cover bench written to %s\n", *coverOut)
-		}
-		ran = true
-	}
 	if want["benchgate"] {
-		// The CI-facing perf gate: reruns the campaign benches and
-		// compares them to the committed BENCH files (make bench-gate).
+		// The CI-facing perf gate: reruns schedbench and compares it to
+		// the committed BENCH_sched.json (make bench-gate).
 		sp := reg.Span("benchgate")
 		fails := experiments.RunBenchGate(cfg, *benchDir)
 		sp.End()
@@ -253,7 +216,7 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		fmt.Println("bench-gate ok: throughput within 10% of committed BENCH files, determinism intact")
+		fmt.Println("bench-gate ok: throughput within 10% of committed BENCH_sched.json, determinism intact")
 		ran = true
 	}
 	if want["flightreport"] {

@@ -5,10 +5,7 @@
 // order — exactly the branch-pair signal AFL-family fuzzers consume.
 package cover
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // MapSize is the number of edge buckets. A power of two so the edge hash
 // can be masked. 64K matches AFL's classic map.
@@ -87,106 +84,6 @@ func (m *Map) Words() []uint64 {
 func (m *Map) SetWords(w []uint64) {
 	m.Reset()
 	copy(m.bits[:], w)
-}
-
-// ---------------------------------------------------------------------
-// Sharded — a lock-striped concurrent coverage map
-// ---------------------------------------------------------------------
-
-// shardCount stripes the map. 16 stripes of 64 words each keeps every
-// stripe well over a cache line (no false sharing) while letting up to
-// 16 writers merge disjoint regions concurrently.
-const shardCount = 16
-
-// shardWords is the number of 64-bit words per stripe.
-const shardWords = MapSize / 64 / shardCount
-
-// Sharded is a concurrency-safe coverage map striped across shardCount
-// locks. Compared to one map behind one mutex, the hot steady-state
-// path (a compilation that covered nothing new) takes only read locks,
-// and writers contend only on the stripes their new edges land in.
-type Sharded struct {
-	shards [shardCount]covShard
-}
-
-type covShard struct {
-	mu    sync.RWMutex
-	words [shardWords]uint64
-}
-
-// NewSharded returns an empty sharded map.
-func NewSharded() *Sharded { return &Sharded{} }
-
-// MergeIfNew merges m and reports whether it contained unseen edges.
-// Stripes are updated independently (the merge is not one atomic
-// snapshot across stripes), which is exactly the guarantee fuzzing
-// coverage needs: no edge is ever lost, and "new" is never reported for
-// an edge some other goroutine already published.
-func (s *Sharded) MergeIfNew(m *Map) bool {
-	isNew := false
-	for i := range s.shards {
-		src := m.bits[i*shardWords : (i+1)*shardWords]
-		// A single compilation covers a few hundred of 64K edges, so
-		// most stripes of m are all-zero: skip them without locking.
-		dirty := false
-		for _, w := range src {
-			if w != 0 {
-				dirty = true
-				break
-			}
-		}
-		if !dirty {
-			continue
-		}
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		novel := false
-		for j, w := range src {
-			if w&^sh.words[j] != 0 {
-				novel = true
-				break
-			}
-		}
-		sh.mu.RUnlock()
-		if !novel {
-			continue
-		}
-		sh.mu.Lock()
-		for j, w := range src {
-			if w&^sh.words[j] != 0 {
-				isNew = true
-				sh.words[j] |= w
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return isNew
-}
-
-// Count returns the number of covered edges.
-func (s *Sharded) Count() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, w := range sh.words {
-			n += bits.OnesCount64(w)
-		}
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// Snapshot copies the current contents into a plain Map.
-func (s *Sharded) Snapshot() *Map {
-	m := NewMap()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		copy(m.bits[i*shardWords:(i+1)*shardWords], sh.words[:])
-		sh.mu.RUnlock()
-	}
-	return m
 }
 
 // Tracer feeds edges into a map. Each compiler stage uses its own tracer

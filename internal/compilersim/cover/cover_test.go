@@ -2,7 +2,6 @@ package cover
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -152,70 +151,6 @@ func TestWordsRoundTrip(t *testing.T) {
 	w[0] = ^uint64(0)
 	if m.Count() == m2.Count()+64 {
 		t.Error("Words aliases the backing array")
-	}
-}
-
-// TestShardedMatchesMap: sequences of MergeIfNew on the sharded map
-// agree with the plain single-map semantics.
-func TestShardedMatchesMap(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		sh := NewSharded()
-		plain := NewMap()
-		for round := 0; round < 20; round++ {
-			m := NewMap()
-			for i := 0; i < rng.Intn(100); i++ {
-				m.Set(rng.Uint32())
-			}
-			wantNew := plain.HasNew(m)
-			plain.Merge(m)
-			if sh.MergeIfNew(m) != wantNew {
-				return false
-			}
-		}
-		snap := sh.Snapshot()
-		return sh.Count() == plain.Count() &&
-			!snap.HasNew(plain) && !plain.HasNew(snap)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestShardedConcurrent hammers the sharded map from many goroutines;
-// every published edge must survive (run under -race in the gate).
-func TestShardedConcurrent(t *testing.T) {
-	sh := NewSharded()
-	want := NewMap()
-	const workers, perWorker = 8, 400
-	inputs := make([][]*Map, workers)
-	for w := 0; w < workers; w++ {
-		rng := rand.New(rand.NewSource(int64(w)))
-		for i := 0; i < perWorker; i++ {
-			m := NewMap()
-			for j := 0; j < 1+rng.Intn(8); j++ {
-				e := rng.Uint32()
-				m.Set(e)
-				want.Set(e)
-			}
-			inputs[w] = append(inputs[w], m)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(ms []*Map) {
-			defer wg.Done()
-			for _, m := range ms {
-				sh.MergeIfNew(m)
-			}
-		}(inputs[w])
-	}
-	wg.Wait()
-	snap := sh.Snapshot()
-	if snap.HasNew(want) || want.HasNew(snap) {
-		t.Errorf("sharded map lost or invented edges: got %d want %d",
-			snap.Count(), want.Count())
 	}
 }
 

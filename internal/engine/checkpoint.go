@@ -230,9 +230,6 @@ func restoreStats(st *fuzz.Stats, ss StatsState) error {
 
 // Snapshot captures the campaign's current barrier state.
 func (c *Campaign) Snapshot() (*Snapshot, error) {
-	if c.sources == nil {
-		return nil, errors.New("engine: adopted campaigns cannot checkpoint (foreign RNG state)")
-	}
 	snap := &Snapshot{
 		Version:       SnapshotVersion,
 		Seed:          c.cfg.Seed,

@@ -164,9 +164,7 @@ func (v *view) MergeIfNew(m *cover.Map) bool {
 type Campaign struct {
 	cfg     Config
 	workers []Worker
-	// sources are the engine-owned RNG states, nil when workers were
-	// adopted with their own generators (shim path) — such campaigns
-	// cannot checkpoint.
+	// sources are the engine-owned stream RNG states (checkpointed).
 	sources []*mix64
 	views   []*view
 	global  *cover.Map
@@ -228,32 +226,6 @@ func New(cfg Config, factory Factory) *Campaign {
 		c.workers = append(c.workers, factory(i, rand.New(src), v))
 	}
 	return c
-}
-
-// Adopt wraps pre-built workers (one per stream) into a campaign. The
-// workers keep their own RNGs, so determinism across worker counts
-// still holds, but the campaign cannot checkpoint (the engine cannot
-// serialize foreign generator state) — CheckpointPath must be empty.
-// Coverage-sharing workers must implement SetCoverage; their sinks are
-// swapped for engine views for the duration of Run (the shim in this
-// package restores and back-fills them).
-func Adopt(cfg Config, workers []Worker) (*Campaign, error) {
-	if cfg.CheckpointPath != "" {
-		return nil, errors.New("engine: adopted campaigns cannot checkpoint (foreign RNG state)")
-	}
-	cfg.Streams = len(workers)
-	cfg.normalize()
-	c := &Campaign{cfg: cfg, global: cover.NewMap(), workers: workers, poisoned: map[int]PoisonInfo{}, ckptDone: -1}
-	c.instrument()
-	for range workers {
-		c.views = append(c.views, &view{merged: cover.NewMap(), delta: cover.NewMap()})
-	}
-	for i, w := range workers {
-		if cs, ok := w.(interface{ SetCoverage(fuzz.CoverageSink) }); ok {
-			cs.SetCoverage(c.views[i])
-		}
-	}
-	return c, nil
 }
 
 // RegisterMetrics pre-registers every engine metric family (including

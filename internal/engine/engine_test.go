@@ -203,74 +203,3 @@ func TestStreamSeedsDistinct(t *testing.T) {
 		t.Error("different campaign seeds collide on stream 0")
 	}
 }
-
-func TestShimRunParallelProgress(t *testing.T) {
-	comp := compilersim.New("gcc", 14)
-	pool := seeds.Generate(10, 42)
-	shared := fuzz.NewSharedCoverage()
-	var workers []*fuzz.MacroFuzzer
-	for i := 0; i < 4; i++ {
-		workers = append(workers, fuzz.NewMacroFuzzer("macro", comp, muast.All(),
-			pool, rand.New(rand.NewSource(int64(100+i))), shared,
-			fuzz.DefaultMacroConfig()))
-	}
-	var calls []int
-	RunParallelProgress(workers, 400, 100, func(done int) { calls = append(calls, done) })
-	if len(calls) == 0 || calls[len(calls)-1] != 400 {
-		t.Fatalf("progress calls = %v, want final 400", calls)
-	}
-	for i := 1; i < len(calls); i++ {
-		if calls[i] <= calls[i-1] {
-			t.Fatalf("progress not monotone: %v", calls)
-		}
-	}
-	total := 0
-	for _, w := range workers {
-		total += w.Stats().Total
-		// The engine must hand workers back with their original sink.
-		if w.Coverage() != fuzz.CoverageSink(shared) {
-			t.Error("worker sink not restored after shim run")
-		}
-	}
-	if total == 0 {
-		t.Fatal("shim campaign produced nothing")
-	}
-	// ... and the caller's shared map back-filled with the findings.
-	if shared.Count() == 0 {
-		t.Fatal("original shared coverage not back-filled")
-	}
-}
-
-func TestShimDeterministicAcrossRuns(t *testing.T) {
-	run := func() string {
-		comp := compilersim.New("gcc", 14)
-		pool := seeds.Generate(10, 42)
-		shared := fuzz.NewSharedCoverage()
-		var ws []*fuzz.MacroFuzzer
-		for i := 0; i < 3; i++ {
-			ws = append(ws, fuzz.NewMacroFuzzer("macro", comp, muast.All(),
-				pool, rand.New(rand.NewSource(int64(i))), shared,
-				fuzz.DefaultMacroConfig()))
-		}
-		RunParallel(ws, 300)
-		agg := fuzz.NewStats("agg")
-		for _, w := range ws {
-			agg.MergeFrom(w.Stats())
-		}
-		sigs := make([]string, 0, len(agg.Crashes))
-		for sig, ci := range agg.Crashes {
-			sigs = append(sigs, fmt.Sprintf("%s@%d", sig, ci.FirstTick))
-		}
-		sort.Strings(sigs)
-		return fmt.Sprintf("%v total=%d cov=%d", sigs, agg.Total, shared.Count())
-	}
-	if a, b := run(), run(); a != b {
-		t.Errorf("shim runs diverged:\n%s\n%s", a, b)
-	}
-}
-
-func TestAdoptRejectsCheckpoint(t *testing.T) {
-	if _, err := Adopt(Config{CheckpointPath: "x.json"}, nil); err == nil {
-		t.Fatal("Adopt accepted a checkpoint path")
-	}
-}

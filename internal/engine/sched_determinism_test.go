@@ -142,101 +142,6 @@ func TestAdaptiveSchedCheckpointResumeEqualsUninterrupted(t *testing.T) {
 	}
 }
 
-// batchedMucFactory builds self-guided μCFuzz streams with the given
-// reward-batching width (and the scheduler policy picked by kind).
-func batchedMucFactory(comp *compilersim.Compiler, pool []string, kind string, batch int) Factory {
-	return func(stream int, rng *rand.Rand, _ fuzz.CoverageSink) Worker {
-		w := fuzz.NewMuCFuzz(fmt.Sprintf("u%d", stream), comp, muast.All(), pool, rng)
-		s, err := sched.New(kind, len(muast.All()))
-		if err != nil {
-			panic(err)
-		}
-		w.Sched = s
-		w.Batch = batch
-		return w
-	}
-}
-
-// TestBatchedObserveByteIdenticalToUnbatched pins the hot-loop batching
-// contract: deferring rewards to the end of the step (Batch=8) must
-// produce byte-identical merged crashes, coverage, and totals to the
-// per-mutant path (Batch=1), for both scheduler policies, at every
-// worker count. It can hold only because Order() is computed before any
-// reward of the step lands and ObserveBatch replays rewards in order —
-// a drift here means one of those two invariants broke.
-func TestBatchedObserveByteIdenticalToUnbatched(t *testing.T) {
-	pool := seeds.Generate(12, 5)
-	run := func(kind string, batch, workers int) string {
-		comp := compilersim.New("gcc", 14)
-		cfg := Config{Streams: 8, Workers: workers, StepsPerEpoch: 16,
-			TotalSteps: 1600, Seed: 4321}
-		c := New(cfg, batchedMucFactory(comp, pool, kind, batch))
-		if err := c.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		return fingerprint(c)
-	}
-	for _, kind := range []string{"uniform", "adaptive"} {
-		want := run(kind, 1, 1)
-		if want == "" {
-			t.Fatalf("%s: empty fingerprint", kind)
-		}
-		for _, workers := range []int{1, 4, 16} {
-			if got := run(kind, 8, workers); got != want {
-				t.Errorf("%s batch=8 workers=%d diverged from batch=1 workers=1:\n got %s\nwant %s",
-					kind, workers, got, want)
-			}
-		}
-	}
-}
-
-// TestBatchedObserveCheckpointResumeEqualsUninterrupted extends the
-// resume contract to batched streams: interrupting a Batch=8 adaptive
-// campaign and resuming it lands on the same bytes as running it
-// straight through. Pending in-step rewards never cross the epoch
-// barrier (Step flushes before returning), so nothing batched needs to
-// ride the snapshot.
-func TestBatchedObserveCheckpointResumeEqualsUninterrupted(t *testing.T) {
-	pool := seeds.Generate(12, 5)
-	factory := func() Factory {
-		return batchedMucFactory(compilersim.New("gcc", 14), pool, "adaptive", 8)
-	}
-	cfg := Config{Streams: 6, Workers: 3, StepsPerEpoch: 12,
-		TotalSteps: 900, Seed: 7788}
-
-	ref := New(cfg, factory())
-	if err := ref.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	want := fingerprint(ref)
-
-	ckpt := filepath.Join(t.TempDir(), "campaign.json")
-	icfg := cfg
-	icfg.CheckpointPath = ckpt
-	ctx, cancel := context.WithCancel(context.Background())
-	epochs := 0
-	icfg.OnEpoch = func(done, total int) {
-		if epochs++; epochs == 3 {
-			cancel()
-		}
-	}
-	ic := New(icfg, factory())
-	if err := ic.Run(ctx); !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
-	}
-	rc, err := Resume(ckpt, Config{Workers: 5}, factory())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rc.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := fingerprint(rc); got != want {
-		t.Errorf("batched interrupt+resume diverged from uninterrupted run:\n got %s\nwant %s",
-			got, want)
-	}
-}
-
 // TestResumeRejectsSchedPolicyMismatch pins the contradiction check: a
 // checkpoint written by an adaptive campaign cannot be resumed with
 // uniform workers (the posterior would be silently dropped).

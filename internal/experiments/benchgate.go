@@ -20,14 +20,10 @@ type GateFailure struct {
 	Got   string `json:"got"`
 }
 
-// RunBenchGate re-runs the committed benches and compares them against
-// the BENCH_*.json files in the repo root (or wherever dir points):
-//
-//   - schedbench edges/sec per variant must not regress more than 10%
-//     vs BENCH_sched.json, and ticks/edges/crashes must match exactly
-//     (the determinism gate rides along for free);
-//   - hotloopbench edges/sec likewise vs BENCH_hotloop.json, and the
-//     batch=1 and batch=8 variants must agree with each other.
+// RunBenchGate re-runs schedbench and compares it against the committed
+// BENCH_sched.json in the repo root (or wherever dir points): edges/sec
+// per variant must not regress more than 10%, and ticks/edges/crashes
+// must match exactly (the determinism gate rides along for free).
 //
 // The allocation budgets are enforced separately and unconditionally by
 // TestHotLoopAllocBudget (testing.AllocsPerRun needs the testing
@@ -62,43 +58,6 @@ func RunBenchGate(cfg Config, dir string) []GateFailure {
 		}
 	}
 
-	var hot HotLoopBenchResult
-	if ok := loadJSON(dir+"/BENCH_hotloop.json", &hot, &fails); ok {
-		fresh := RunHotLoopBench(cfg)
-		for i, want := range hot.Variants {
-			if i >= len(fresh.Variants) {
-				fails = append(fails, GateFailure{Check: "hotloop:" + want.Name,
-					Want: "variant present", Got: "missing"})
-				continue
-			}
-			got := fresh.Variants[i]
-			if got.Ticks != want.Ticks || got.Edges != want.Edges || got.Crashes != want.Crashes {
-				fails = append(fails, GateFailure{
-					Check: "hotloop-determinism:" + want.Name,
-					Want:  fmt.Sprintf("ticks=%d edges=%d crashes=%d", want.Ticks, want.Edges, want.Crashes),
-					Got:   fmt.Sprintf("ticks=%d edges=%d crashes=%d", got.Ticks, got.Edges, got.Crashes),
-				})
-			}
-			if want.EdgesPerSec > 0 && got.EdgesPerSec < benchGateTolerance*want.EdgesPerSec {
-				fails = append(fails, GateFailure{
-					Check: "hotloop-throughput:" + want.Name,
-					Want:  fmt.Sprintf(">= %.0f edges/s (90%% of committed %.0f)", benchGateTolerance*want.EdgesPerSec, want.EdgesPerSec),
-					Got:   fmt.Sprintf("%.0f edges/s", got.EdgesPerSec),
-				})
-			}
-		}
-		if len(fresh.Variants) == 2 {
-			a, b := fresh.Variants[0], fresh.Variants[1]
-			if a.Ticks != b.Ticks || a.Edges != b.Edges || a.Crashes != b.Crashes {
-				fails = append(fails, GateFailure{
-					Check: "hotloop-batch-identity",
-					Want:  "batch=1 and batch=8 byte-identical",
-					Got: fmt.Sprintf("batch=1 ticks=%d edges=%d; batch=8 ticks=%d edges=%d",
-						a.Ticks, a.Edges, b.Ticks, b.Edges),
-				})
-			}
-		}
-	}
 	return fails
 }
 

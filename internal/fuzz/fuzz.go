@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 
 	"github.com/icsnju/metamut-go/internal/cast"
 	"github.com/icsnju/metamut-go/internal/compilersim"
@@ -63,8 +64,6 @@ type Stats struct {
 	obsStaticRejects *obs.CounterVec
 	obsPanics        *obs.CounterVec
 	obsFuel          *obs.CounterVec
-	obsBatchFlushes  *obs.Counter
-	obsBatchRewards  *obs.Counter
 }
 
 // NewStats returns empty accounting for a named fuzzer.
@@ -88,8 +87,6 @@ func (s *Stats) Instrument(reg *obs.Registry) {
 	s.obsStaticRejects = reg.Counter("static_rejects_total", "check")
 	s.obsPanics = reg.Counter("mutator_panics_total", "mutator")
 	s.obsFuel = reg.Counter("mutator_fuel_exhausted_total", "mutator")
-	s.obsBatchFlushes = reg.Counter("batch_reward_flushes_total", "fuzzer").With(s.Name)
-	s.obsBatchRewards = reg.Counter("batch_rewards_total", "fuzzer").With(s.Name)
 }
 
 // resultOutcome labels one compilation for mutants_total.
@@ -367,22 +364,8 @@ type MuCFuzz struct {
 	// draws); swap in sched.NewAdaptive for bandit-weighted selection.
 	// Arms index into the mutator slice in constructor order.
 	Sched sched.Scheduler
-	// Batch defers scheduler reward observation: with Batch >= 2, up to
-	// Batch (arm, reward) pairs are buffered and flushed — as contiguous
-	// same-arm runs, in original order — through Sched.ObserveBatch at
-	// the end of the step (or when the buffer fills). Batching is purely
-	// an execution-strategy knob: the try-order comes from one Order()
-	// call at the top of the step, before any observation lands, and
-	// ObserveBatch replays observations in order, so the schedule and
-	// posterior stay byte-identical to Batch <= 1 (see
-	// internal/engine/sched_determinism_test.go).
-	Batch int
 
 	allowedFn func(int) bool
-	// Deferred-reward scratch (parallel slices so a contiguous same-arm
-	// run flushes as rewVals[i:j] without copying).
-	rewArms []int
-	rewVals []sched.Reward
 	// spliceArena backs the unchecked-rewrite parses (see
 	// uncheckedRewriteArena).
 	spliceArena *cast.Arena
@@ -446,54 +429,10 @@ func (f *MuCFuzz) Stats() *Stats { return f.stats }
 // PoolSize returns the current program-pool size.
 func (f *MuCFuzz) PoolSize() int { return len(f.pool) }
 
-// observe books one scheduler reward, immediately (Batch <= 1) or into
-// the deferred buffer (flushed at step end, or when Batch pairs are
-// pending).
-func (f *MuCFuzz) observe(arm int, r sched.Reward) {
-	if f.Batch <= 1 {
-		f.Sched.Observe(arm, r)
-		return
-	}
-	f.rewArms = append(f.rewArms, arm)
-	f.rewVals = append(f.rewVals, r)
-	if len(f.rewArms) >= f.Batch {
-		f.flushRewards()
-	}
-}
-
-// flushRewards drains the deferred reward buffer through ObserveBatch,
-// one contiguous same-arm run at a time, in original order — the
-// replay contract that keeps the posterior bit-identical to unbatched
-// Observe calls.
-func (f *MuCFuzz) flushRewards() {
-	for i := 0; i < len(f.rewArms); {
-		j := i + 1
-		for j < len(f.rewArms) && f.rewArms[j] == f.rewArms[i] {
-			j++
-		}
-		f.Sched.ObserveBatch(f.rewArms[i], f.rewVals[i:j])
-		f.stats.obsBatchFlushes.Inc()
-		f.stats.obsBatchRewards.Add(int64(j - i))
-		i = j
-	}
-	f.rewArms = f.rewArms[:0]
-	f.rewVals = f.rewVals[:0]
-}
-
 // Step runs one iteration of Algorithm 1: it stops after the first
 // mutant that covers a new branch (adding it to the pool), or after
-// MaxMutatorTries mutants. With Batch >= 2 any rewards still buffered
-// when the iteration ends are flushed before Step returns, so the
-// scheduler posterior is fully up to date between steps (checkpoints
-// taken at epoch barriers see no pending rewards).
+// MaxMutatorTries mutants.
 func (f *MuCFuzz) Step() {
-	f.stepInner()
-	if len(f.rewArms) > 0 {
-		f.flushRewards()
-	}
-}
-
-func (f *MuCFuzz) stepInner() {
 	f.Quarantine.Tick()
 	if len(f.pool) == 0 {
 		return
@@ -503,9 +442,7 @@ func (f *MuCFuzz) stepInner() {
 	// RNG: Uniform is Algorithm 1's shuffle (one Perm, identical draws),
 	// Adaptive ranks arms by posterior reward. Either way the schedule
 	// is a pure function of stream state — reproducible under the
-	// engine at any worker count. Order() runs before any reward from
-	// this step lands, which is what makes deferred (batched)
-	// observation indistinguishable from immediate observation.
+	// engine at any worker count.
 	order := f.Sched.Order(f.rng, f.allowedFn)
 	tries := 0
 	// One mutation manager serves every try of the step: all tries
@@ -535,14 +472,14 @@ func (f *MuCFuzz) stepInner() {
 		if faulted {
 			f.stats.RecordMutatorFault(mu.Name, fuel)
 			f.Quarantine.Strike(mu.Name)
-			f.observe(mi, sched.Reward{Fault: true})
+			f.Sched.Observe(mi, sched.Reward{Fault: true})
 			continue
 		}
 		if !ok {
 			// Not applicable to this program: zero reward, but the try
 			// still counts — otherwise a never-applying arm keeps its
 			// untried (+Inf) UCB score and the bandit re-picks it forever.
-			f.observe(mi, sched.Reward{})
+			f.Sched.Observe(mi, sched.Reward{})
 			continue // try the next (free)
 		}
 		if f.rng.Float64() < f.UncheckedRate {
@@ -557,7 +494,7 @@ func (f *MuCFuzz) stepInner() {
 			if check, rejected := mutcheck.Reject(mutant); rejected {
 				tries++
 				f.stats.RecordStaticReject(mu.Name, check)
-				f.observe(mi, sched.Reward{CompileError: true})
+				f.Sched.Observe(mi, sched.Reward{CompileError: true})
 				continue
 			}
 		}
@@ -571,7 +508,7 @@ func (f *MuCFuzz) stepInner() {
 		if f.flight != nil && len(f.stats.Crashes) > nCrash {
 			emitCrash(f.flight, f.stats, res.Crash, mu.Name)
 		}
-		f.observe(mi, sched.Reward{
+		f.Sched.Observe(mi, sched.Reward{
 			NewCoverage:  isNew,
 			Crash:        res.Crash != nil,
 			CompileError: !res.OK && res.Crash == nil,
@@ -607,13 +544,12 @@ type CoverageSink interface {
 	MergeIfNew(m *cover.Map) bool
 }
 
-// SharedCoverage is the cross-process (here: cross-goroutine) coverage
-// map of the macro fuzzer (enhancement #3 in Section 3.4). It is lock-
-// striped (cover.Sharded): steady-state merges that cover nothing new
-// take only read locks, and concurrent writers contend per stripe
-// instead of on one global mutex (see the BenchmarkSharedCoverage pair).
+// SharedCoverage is the cross-goroutine coverage map of the macro
+// fuzzer (enhancement #3 in Section 3.4) for workers running outside
+// the campaign engine: one mutex over one map.
 type SharedCoverage struct {
-	sh cover.Sharded
+	mu sync.Mutex
+	m  cover.Map
 }
 
 // NewSharedCoverage returns an empty shared map.
@@ -623,17 +559,27 @@ func NewSharedCoverage() *SharedCoverage {
 
 // MergeIfNew merges m and reports whether it contained unseen edges.
 func (s *SharedCoverage) MergeIfNew(m *cover.Map) bool {
-	return s.sh.MergeIfNew(m)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.m.HasNew(m) {
+		return false
+	}
+	s.m.Merge(m)
+	return true
 }
 
 // Count returns the number of covered edges.
 func (s *SharedCoverage) Count() int {
-	return s.sh.Count()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.m.Count()
 }
 
-// Snapshot copies the current shared map (checkpointing, reporting).
+// Snapshot copies the current shared map (reporting).
 func (s *SharedCoverage) Snapshot() *cover.Map {
-	return s.sh.Snapshot()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.m.Clone()
 }
 
 // MacroConfig tunes the macro fuzzer's enhancements.
@@ -867,8 +813,7 @@ func (f *MacroFuzzer) PoolSize() int { return len(f.pool) }
 // Coverage returns the worker's current coverage sink.
 func (f *MacroFuzzer) Coverage() CoverageSink { return f.shared }
 
-// SetCoverage swaps the coverage sink — the campaign engine uses this
-// to substitute per-epoch deterministic views for the shared map.
+// SetCoverage swaps the coverage sink.
 func (f *MacroFuzzer) SetCoverage(sink CoverageSink) { f.shared = sink }
 
 // Corpus returns a copy of μCFuzz's current program pool.
