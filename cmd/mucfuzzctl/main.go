@@ -7,9 +7,10 @@
 //	mucfuzzctl -addr :8377 results j0001
 //	mucfuzzctl -addr :8377 list [-tenant acme]
 //
-// submit speaks the same versioned JobSpec schema the daemon persists;
-// its flags mirror mucfuzz's campaign flags, so any local campaign can
-// be re-run as a service job by copying the flag values.
+// submit speaks the same versioned JobSpec schema the daemon persists
+// and binds its campaign flags with serve.BindFlags, like mucfuzz, so
+// any local -macro campaign can be re-run as a service job by copying
+// the flag values.
 package main
 
 import (
@@ -103,31 +104,13 @@ func runOne(c *serve.Client, args []string, name string, fn func(id string) erro
 
 func runSubmit(c *serve.Client, args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
-	var (
-		tenant   = fs.String("tenant", "", "submitting tenant (required)")
-		name     = fs.String("name", "", "human label for the job")
-		compiler = fs.String("compiler", "gcc", "target profile: gcc or clang")
-		set      = fs.String("set", "s", "mutator set: s, u, all")
-		seed     = fs.Int64("seed", 1, "campaign seed")
-		nSeeds   = fs.Int("seeds", 120, "seed corpus size")
-		steps    = fs.Int("steps", 10000, "campaign step budget")
-		streams  = fs.Int("streams", 16, "logical fuzzing streams")
-		spe      = fs.Int("steps-per-epoch", 32, "per-stream steps between barriers")
-		schedK   = fs.String("sched", "adaptive", "mutator scheduling policy: uniform or adaptive")
-		noStatic = fs.Bool("no-static", false, "compile statically-invalid mutants (ablation)")
-		doReduce = fs.Bool("reduce", false, "minimize triaged witnesses in the final report")
-		wait     = fs.Bool("wait", false, "block until the job is terminal, then print results")
-	)
+	spec := serve.BindFlags(fs)
+	fs.StringVar(&spec.Tenant, "tenant", "", "submitting tenant (required)")
+	fs.StringVar(&spec.Name, "name", "", "human label for the job")
+	fs.IntVar(&spec.StepsPerEpoch, "steps-per-epoch", 32, "per-stream steps between barriers")
+	wait := fs.Bool("wait", false, "block until the job is terminal, then print results")
 	fs.Parse(args)
-	spec := serve.JobSpec{
-		SpecVersion: serve.JobSpecVersion,
-		Tenant:      *tenant, Name: *name,
-		Compiler: *compiler, MutatorSet: *set,
-		Seed: *seed, SeedCount: *nSeeds, Steps: *steps,
-		Streams: *streams, StepsPerEpoch: *spe, Sched: *schedK,
-		NoStatic: *noStatic, Reduce: *doReduce,
-	}
-	id, err := c.Submit(spec)
+	id, err := c.Submit(*spec)
 	if err != nil {
 		return err
 	}

@@ -25,11 +25,11 @@ import (
 	"github.com/icsnju/metamut-go/internal/baselines"
 	"github.com/icsnju/metamut-go/internal/compilersim"
 	"github.com/icsnju/metamut-go/internal/fuzz"
-	"github.com/icsnju/metamut-go/internal/muast"
 	_ "github.com/icsnju/metamut-go/internal/mutators" // register the 118
 	"github.com/icsnju/metamut-go/internal/obs"
 	"github.com/icsnju/metamut-go/internal/sched"
 	"github.com/icsnju/metamut-go/internal/seeds"
+	"github.com/icsnju/metamut-go/internal/serve"
 )
 
 // Config scales the experiments. The defaults run the full suite in
@@ -121,7 +121,7 @@ func newFuzzer(cfg Config, name string, comp *compilersim.Compiler,
 	}
 	switch name {
 	case "muCFuzz.s":
-		set := muast.BySet(muast.Supervised)
+		set := serve.Arsenal("s")
 		f := fuzz.NewMuCFuzz(name, comp, set, pool, rng)
 		// Supervised mutators were manually corrected by the authors:
 		// fewer unchecked rewrites slip through (Table 5: 74.46% vs
@@ -130,7 +130,7 @@ func newFuzzer(cfg Config, name string, comp *compilersim.Compiler,
 		applySched(f, len(set))
 		return f
 	case "muCFuzz.u":
-		set := muast.BySet(muast.Unsupervised)
+		set := serve.Arsenal("u")
 		f := fuzz.NewMuCFuzz(name, comp, set, pool, rng)
 		f.UncheckedRate = fuzz.DefaultUncheckedRate + 0.05
 		applySched(f, len(set))
@@ -169,11 +169,7 @@ func RunRQ1(cfg Config) *RQ1Result {
 	pool := seeds.Generate(cfg.SeedPrograms, cfg.Seed)
 	res := &RQ1Result{Cfg: cfg}
 	for _, compName := range []string{"gcc", "clang"} {
-		version := 14
-		if compName == "clang" {
-			version = 18
-		}
-		comp := compilersim.New(compName, version)
+		comp := serve.Compiler(compName)
 		comp.Instrument(cfg.Obs)
 		for fi, fname := range FuzzerNames {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(fi)*977))

@@ -3,8 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -16,8 +14,7 @@ import (
 	"github.com/icsnju/metamut-go/internal/fuzz"
 	"github.com/icsnju/metamut-go/internal/llm"
 	"github.com/icsnju/metamut-go/internal/muast"
-	"github.com/icsnju/metamut-go/internal/sched"
-	"github.com/icsnju/metamut-go/internal/seeds"
+	"github.com/icsnju/metamut-go/internal/serve"
 )
 
 // RunCampaign executes the unsupervised MetaMut campaign once and
@@ -152,69 +149,48 @@ type Table6Result struct {
 
 // RunTable6 runs the macro fuzzer (all 118 mutators, Havoc, flag
 // sampling, shared coverage) against the latest versions of both
-// compilers and triages the crashes. The campaign runs on the parallel
-// engine: cfg.MacroWorkers logical streams executed by
-// cfg.EngineWorkers goroutines, checkpointed per compiler when
+// compilers and triages the crashes. Each compiler's campaign is one
+// serve.JobSpec built by serve.Build on the parallel engine:
+// cfg.MacroWorkers logical streams executed by cfg.EngineWorkers
+// goroutines, checkpointed (and resumed) per compiler when
 // cfg.CheckpointDir is set.
 func RunTable6(cfg Config) *Table6Result {
-	pool := seeds.Generate(cfg.SeedPrograms, cfg.Seed)
 	ctx := cfg.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	policy := cfg.Sched
+	if policy == "" {
+		policy = "uniform"
+	}
 	res := &Table6Result{}
 	for ci, compName := range []string{"clang", "gcc"} {
-		version := 18
-		if compName == "gcc" {
-			version = 14
+		spec := serve.JobSpec{
+			Tenant: "table6", Compiler: compName, MutatorSet: "all",
+			Seed: cfg.Seed, SeedCount: cfg.SeedPrograms, Steps: cfg.MacroSteps,
+			Streams: cfg.MacroWorkers, Sched: policy, NoStatic: true,
+			Reduce: cfg.TriageReduce,
 		}
-		comp := compilersim.New(compName, version)
-		comp.Instrument(cfg.Obs)
-		factory := func(stream int, rng *rand.Rand, cov fuzz.CoverageSink) engine.Worker {
-			mf := fuzz.NewMacroFuzzer(
-				fmt.Sprintf("macro-%s-%d", compName, stream), comp, muast.All(),
-				pool, rng, cov, fuzz.DefaultMacroConfig())
-			if cfg.Sched != "" {
-				s, err := sched.New(cfg.Sched, len(muast.All()))
-				if err != nil {
-					panic(err) // Config.Sched is CLI-validated; a bad literal is a bug
-				}
-				mf.Sched = s
-			}
-			mf.Stats().Instrument(cfg.Obs)
-			mf.InstrumentSched(cfg.Obs)
-			return mf
-		}
+		// Both compilers fuzz one corpus (spec.Seed) on distinct stream
+		// seeds.
 		ecfg := engine.Config{
-			Streams:    cfg.MacroWorkers,
-			Workers:    cfg.EngineWorkers,
-			TotalSteps: cfg.MacroSteps,
-			Seed:       cfg.Seed + int64(ci*100),
-			Registry:   cfg.Obs,
+			Workers:  cfg.EngineWorkers,
+			Seed:     cfg.Seed + int64(ci*100),
+			Registry: cfg.Obs,
 		}
-		var c *engine.Campaign
 		if cfg.CheckpointDir != "" {
-			path := filepath.Join(cfg.CheckpointDir, "table6-"+compName+".json")
-			ecfg.CheckpointPath = path
-			if _, err := os.Stat(path); err == nil {
-				c, err = engine.Resume(path, ecfg, factory)
-				if err != nil {
-					res.Err = err
-					return res
-				}
-			}
+			ecfg.CheckpointPath = filepath.Join(cfg.CheckpointDir, "table6-"+compName+".json")
 		}
-		if c == nil {
-			c = engine.New(ecfg, factory)
+		c, err := serve.Build(spec, ecfg, nil)
+		if err != nil {
+			res.Err = err
+			return res
 		}
 		if err := c.Run(ctx); err != nil {
 			res.Err = err
 			return res
 		}
-		res.Triage = append(res.Triage, c.Triage(comp, engine.TriageConfig{
-			Reduce:   cfg.TriageReduce,
-			Registry: cfg.Obs,
-		}))
+		res.Triage = append(res.Triage, c.Triage(c.Compiler, engine.TriageConfig{Reduce: spec.Reduce}))
 		merged := c.MergedStats().Crashes
 		// Deterministic triage per crash signature: developers confirmed
 		// 129/131 reports, fixed 35, and 13 were duplicates of earlier

@@ -5,23 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"github.com/icsnju/metamut-go/internal/compilersim"
 	"github.com/icsnju/metamut-go/internal/engine"
 	"github.com/icsnju/metamut-go/internal/flight"
-	"github.com/icsnju/metamut-go/internal/fuzz"
-	"github.com/icsnju/metamut-go/internal/muast"
-	_ "github.com/icsnju/metamut-go/internal/mutators" // populate the mutator registry
 	"github.com/icsnju/metamut-go/internal/obs"
 	"github.com/icsnju/metamut-go/internal/resil"
-	"github.com/icsnju/metamut-go/internal/sched"
-	"github.com/icsnju/metamut-go/internal/seeds"
 	"github.com/icsnju/metamut-go/internal/serve/heal"
 )
 
@@ -83,19 +76,16 @@ type ChaosHooks struct {
 }
 
 // job is one admitted job's live runtime. The coordinator goroutine
-// owns camp/comp exclusively; rec and the flags are guarded by
-// Daemon.mu (HTTP handlers read rec and the flight recorder only —
-// never the campaign, which is mid-epoch most of the time).
+// owns camp exclusively; rec and the flags are guarded by Daemon.mu
+// (HTTP handlers read rec and the flight recorder only — never the
+// campaign, which is mid-epoch most of the time).
 type job struct {
 	rec     *JobRecord
 	dir     string
-	camp    *engine.Campaign
-	comp    *compilersim.Compiler
-	frec    *flight.Recorder
+	camp    *Campaign
 	journal *os.File
 	gate    *gateWriter // journal tap the disk governor can cap
-	reg     *obs.Registry
-	cancel  bool // cancellation requested; honored at the next barrier
+	cancel  bool        // cancellation requested; honored at the next barrier
 
 	// slices counts slice attempts this daemon generation (the chaos
 	// harness's per-job site counter; restart-relative by design).
@@ -243,54 +233,22 @@ func (d *Daemon) recover() error {
 	return d.ledger.Save(d.cfg.StateDir)
 }
 
-// buildRuntime constructs a job's isolated campaign — compiler, seed
-// pool, mutator arsenal, flight recorder, engine — resuming from its
-// checkpoint when one exists. The job's results depend only on its
-// spec: the daemon contributes no randomness and no ordering.
+// buildRuntime wraps a job's campaign (see Build) in the service's
+// bookkeeping: the journal repaired to exactly the barrier the
+// campaign continues from, the gate writer the disk governor can cap,
+// the anomaly tally the supervisor strikes on, and the admission-time
+// lock check. The job's results depend only on its spec: the daemon
+// contributes no randomness and no ordering.
 func (d *Daemon) buildRuntime(rec *JobRecord) (*job, error) {
-	spec := rec.Spec
-	spec.Normalize()
 	dir := JobDir(d.cfg.StateDir, rec.ID)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	ckptPath := filepath.Join(dir, CheckpointFile)
-	ok := false
-
-	version := 14
-	if spec.Compiler == "clang" {
-		version = 18
-	}
-	reg := obs.NewRegistry()
-	fuzz.RegisterMetrics(reg)
-	engine.RegisterMetrics(reg)
-	sched.RegisterMetrics(reg)
-	resil.RegisterMetrics(reg)
-	flight.RegisterMetrics(reg)
-	comp := compilersim.New(spec.Compiler, version)
-	comp.Instrument(reg)
-	comp.EnableMutantCache(4096)
-
-	var mutators []*muast.Mutator
-	switch spec.MutatorSet {
-	case "s":
-		mutators = muast.BySet(muast.Supervised)
-	case "u":
-		mutators = muast.BySet(muast.Unsupervised)
-	default:
-		mutators = muast.All()
-	}
-	pool := seeds.Generate(spec.SeedCount, spec.Seed)
-
-	// A checkpoint on disk decides resume vs fresh start; either way
-	// the journal is first repaired to exactly the barrier the
-	// campaign will continue from.
-	snap, usedPath, loadErr := engine.LoadWithFallback(ckptPath)
 	journalPath := filepath.Join(dir, JournalFile)
-	snapDone := 0
+	snap, usedPath, loadErr := engine.LoadWithFallback(ckptPath)
 	var journalPrefix []byte
 	if loadErr == nil {
-		snapDone = snap.Done
 		ckptData, err := os.ReadFile(usedPath)
 		if err != nil {
 			return nil, err
@@ -299,10 +257,12 @@ func (d *Daemon) buildRuntime(rec *JobRecord) (*job, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: job %s journal repair: %w", rec.ID, err)
 		}
-	} else if !os.IsNotExist(loadErr) {
-		d.cfg.Logf("serve: job %s checkpoint unreadable (%v); restarting from scratch", rec.ID, loadErr)
-	}
-	if loadErr != nil {
+	} else {
+		if !os.IsNotExist(loadErr) {
+			d.cfg.Logf("serve: job %s checkpoint unreadable (%v); restarting from scratch", rec.ID, loadErr)
+			os.Remove(ckptPath)
+			os.Remove(ckptPath + engine.PrevSuffix)
+		}
 		// No usable checkpoint: the job restarts from step zero and the
 		// journal with it.
 		if err := atomicWrite(journalPath, nil); err != nil {
@@ -312,16 +272,6 @@ func (d *Daemon) buildRuntime(rec *JobRecord) (*job, error) {
 	journalF, err := os.OpenFile(journalPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
-	}
-	defer func() {
-		if !ok {
-			journalF.Close()
-		}
-	}()
-
-	armNames := make([]string, len(mutators))
-	for i, mu := range mutators {
-		armNames[i] = mu.Name
 	}
 	gate := &gateWriter{w: journalF}
 	if d.heal.CapJournals() {
@@ -334,86 +284,41 @@ func (d *Daemon) buildRuntime(rec *JobRecord) (*job, error) {
 	// (the coordinator, mid-slice) and the post-slice verdict reads the
 	// tally on the same goroutine.
 	anoms := map[string]int{}
-	frec := flight.NewRecorder(flight.Config{
-		Streams:    spec.Streams,
-		TotalSteps: spec.Steps,
-		Seed:       spec.Seed,
-		Done:       snapDone,
-		Registry:   reg,
-		Journal:    gate,
-		ArmNames:   armNames,
+	ecfg := engine.Config{
+		Workers:         d.cfg.Fleet,
+		CheckpointPath:  ckptPath,
+		CheckpointEvery: 1,
+		Registry:        obs.NewRegistry(),
+	}
+	if d.cfg.Chaos != nil {
+		ecfg.CheckpointTransform = d.cfg.Chaos.CheckpointTransform
+	}
+	camp, err := Build(rec.Spec, ecfg, &flight.Config{
+		Journal: gate,
 		OnAnomaly: func(ev flight.Event) {
 			if kind, _ := ev.Data["watchdog"].(string); kind != "" {
 				anoms[kind]++
 			}
 		},
 	})
-	// The resumed recorder replays the repaired prefix so its anomaly
-	// detectors' epoch counters and latches continue where the killed
-	// run's left off — anomalies land at absolute journal positions.
-	frec.RestoreWatchdogs(journalPrefix)
-	for k := range anoms {
-		delete(anoms, k)
-	}
-
-	mcfg := fuzz.DefaultMacroConfig()
-	mcfg.StaticFilter = !spec.NoStatic
-	var factoryErr error
-	factory := func(stream int, rng *rand.Rand, cov fuzz.CoverageSink) engine.Worker {
-		w := fuzz.NewMacroFuzzer(fmt.Sprintf("%s-%d", rec.ID, stream), comp,
-			mutators, pool, rng, cov, mcfg)
-		s, serr := sched.New(spec.Sched, len(mutators))
-		if serr != nil {
-			factoryErr = serr
-		} else {
-			w.Sched = s
-		}
-		w.Stats().Instrument(reg)
-		w.InstrumentSched(reg)
-		w.AttachFlight(frec.Stream(stream))
-		return w
-	}
-	ecfg := engine.Config{
-		Streams:         spec.Streams,
-		Workers:         d.cfg.Fleet,
-		StepsPerEpoch:   spec.StepsPerEpoch,
-		TotalSteps:      spec.Steps,
-		Seed:            spec.Seed,
-		CheckpointPath:  ckptPath,
-		CheckpointEvery: 1,
-		Registry:        reg,
-		Flight:          frec,
-	}
-	if d.cfg.Chaos != nil {
-		ecfg.CheckpointTransform = d.cfg.Chaos.CheckpointTransform
-	}
-	var camp *engine.Campaign
-	if loadErr == nil {
-		// The snapshot owns the identity fields.
-		rcfg := ecfg
-		rcfg.Seed, rcfg.Streams, rcfg.StepsPerEpoch = 0, 0, 0
-		camp, err = engine.Resume(ckptPath, rcfg, factory)
-	} else {
-		camp = engine.New(ecfg, factory)
-	}
-	if err == nil {
-		err = factoryErr
-	}
 	if err == nil {
 		// New defers a lock failure to the first RunSlice; a daemon must
 		// reject the job at admission instead.
-		err = camp.LockErr()
-	}
-	if err != nil {
-		if camp != nil {
+		if err = camp.LockErr(); err != nil {
 			camp.Unlock()
 		}
+	}
+	if err != nil {
+		journalF.Close()
 		return nil, err
 	}
-	ok = true
+	// The resumed recorder replays the repaired prefix so its anomaly
+	// detectors' epoch counters and latches continue where the killed
+	// run's left off — anomalies land at absolute journal positions.
+	camp.Flight.RestoreWatchdogs(journalPrefix)
 	return &job{
-		rec: rec, dir: dir, camp: camp, comp: comp,
-		frec: frec, journal: journalF, gate: gate, reg: reg,
+		rec: rec, dir: dir, camp: camp,
+		journal: journalF, gate: gate,
 		anoms: anoms,
 	}, nil
 }
@@ -546,7 +451,7 @@ func (d *Daemon) Console(id string) *flight.ConsoleState {
 	if j == nil {
 		return nil
 	}
-	return j.frec.Console()
+	return j.camp.Flight.Console()
 }
 
 // Run executes the coordinator loop until Stop (graceful) or Kill
@@ -696,7 +601,7 @@ func (d *Daemon) noteSliceHealthLocked(j *job, err error) {
 		d.diskFaultLocked("checkpoint")
 	}
 	if !j.jerrNoted {
-		if jerr := j.frec.JournalErr(); jerr != nil {
+		if jerr := j.camp.Flight.JournalErr(); jerr != nil {
 			j.jerrNoted = true
 			faulted = true
 			d.cfg.Logf("serve: job %s: journal write error: %v", j.rec.ID, jerr)
@@ -733,7 +638,7 @@ func (d *Daemon) applyDiskLevelLocked(lvl heal.Level) {
 	for _, id := range ids {
 		j := d.jobs[id]
 		if lvl >= heal.LevelShedSSE {
-			if n := j.frec.DropSubscribers(); n > 0 {
+			if n := j.camp.Flight.DropSubscribers(); n > 0 {
 				d.cfg.Logf("serve: job %s: dropped %d live journal taps", id, n)
 			}
 		}
@@ -840,7 +745,7 @@ func (d *Daemon) refreshRecordLocked(j *job) {
 	agg := j.camp.MergedStats()
 	j.rec.Edges = agg.Coverage.Count()
 	j.rec.Crashes = len(agg.Crashes)
-	if n := j.frec.Dropped(); n > j.rec.SSEDropped {
+	if n := j.camp.Flight.Dropped(); n > j.rec.SSEDropped {
 		d.m.sseDropped.Add(n - j.rec.SSEDropped)
 		j.rec.SSEDropped = n
 	}
@@ -855,7 +760,7 @@ func (d *Daemon) finalizeLocked(j *job, state JobState, cause error) {
 	if state != Done {
 		// An interrupted job's journal gets its end event here — the
 		// engine only journals completion for spent budgets.
-		j.frec.End(j.rec.Done, j.rec.Edges, j.rec.Crashes)
+		j.camp.Flight.End(j.rec.Done, j.rec.Edges, j.rec.Crashes)
 	}
 	d.writeTriage(j)
 	j.journal.Close()
@@ -899,10 +804,7 @@ func (d *Daemon) writeTriage(j *job) {
 			d.cfg.Logf("serve: job %s triage panicked: %v", j.rec.ID, r)
 		}
 	}()
-	rep := j.camp.Triage(j.comp, engine.TriageConfig{
-		Reduce:   j.rec.Spec.Reduce,
-		Registry: j.reg,
-	})
+	rep := j.camp.Triage(j.camp.Compiler, engine.TriageConfig{Reduce: j.rec.Spec.Reduce})
 	if err := rep.WriteJSON(filepath.Join(j.dir, TriageFile)); err != nil {
 		d.cfg.Logf("serve: job %s triage write: %v", j.rec.ID, err)
 	}

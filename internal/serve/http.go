@@ -112,7 +112,7 @@ func (d *Daemon) subscribe(id string) (<-chan []byte, func(), error) {
 			Message: fmt.Sprintf("serve: live journal taps shed (disk level %s)",
 				d.heal.Level())}
 	}
-	ch, cancel := j.frec.Subscribe()
+	ch, cancel := j.camp.Flight.Subscribe()
 	return ch, cancel, nil
 }
 

@@ -22,6 +22,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 )
 
@@ -65,33 +66,60 @@ type JobSpec struct {
 	Reduce bool `json:"reduce,omitempty"`
 }
 
-// Normalize fills defaults in place (mirroring the mucfuzz flag
-// defaults, so a bare spec means the same campaign everywhere).
+// specDefaults holds the value of every field a spec may leave zero,
+// and Steps, which the flag binder defaults but a spec must state.
+var specDefaults = JobSpec{
+	Compiler: "gcc", MutatorSet: "s", Seed: 1, SeedCount: 120,
+	Steps: 10000, Streams: 16, StepsPerEpoch: 32, Sched: "adaptive",
+}
+
+// Normalize fills defaults in place, so a bare spec means the same
+// campaign everywhere.
 func (s *JobSpec) Normalize() {
+	d := specDefaults
 	if s.SpecVersion == 0 {
 		s.SpecVersion = JobSpecVersion
 	}
 	if s.Compiler == "" {
-		s.Compiler = "gcc"
+		s.Compiler = d.Compiler
 	}
 	if s.MutatorSet == "" {
-		s.MutatorSet = "s"
+		s.MutatorSet = d.MutatorSet
 	}
 	if s.Seed == 0 {
-		s.Seed = 1
+		s.Seed = d.Seed
 	}
 	if s.SeedCount <= 0 {
-		s.SeedCount = 120
+		s.SeedCount = d.SeedCount
 	}
 	if s.Streams <= 0 {
-		s.Streams = 16
+		s.Streams = d.Streams
 	}
 	if s.StepsPerEpoch <= 0 {
-		s.StepsPerEpoch = 32
+		s.StepsPerEpoch = d.StepsPerEpoch
 	}
 	if s.Sched == "" {
-		s.Sched = "adaptive"
+		s.Sched = d.Sched
 	}
+}
+
+// BindFlags registers the campaign-identity flags that mucfuzz and
+// mucfuzzctl submit share — compiler, set, seed, seeds, steps,
+// streams, sched, no-static, reduce — on fs, and returns the spec they
+// fill once fs is parsed.
+func BindFlags(fs *flag.FlagSet) *JobSpec {
+	d := specDefaults
+	s := &JobSpec{SpecVersion: JobSpecVersion}
+	fs.StringVar(&s.Compiler, "compiler", d.Compiler, "target profile: gcc or clang")
+	fs.StringVar(&s.MutatorSet, "set", d.MutatorSet, "mutator set: s (supervised), u (unsupervised), all")
+	fs.Int64Var(&s.Seed, "seed", d.Seed, "campaign seed")
+	fs.IntVar(&s.SeedCount, "seeds", d.SeedCount, "seed corpus size")
+	fs.IntVar(&s.Steps, "steps", d.Steps, "step budget (compilations)")
+	fs.IntVar(&s.Streams, "streams", d.Streams, "macro campaign: logical fuzzing streams (campaign identity)")
+	fs.StringVar(&s.Sched, "sched", d.Sched, "mutator scheduling policy: uniform or adaptive (UCB bandit)")
+	fs.BoolVar(&s.NoStatic, "no-static", false, "ablation: compile statically-invalid mutants instead of filtering them")
+	fs.BoolVar(&s.Reduce, "reduce", false, "minimize each crashing input in the report")
+	return s
 }
 
 // Validate rejects specs the daemon could not run faithfully. Call
