@@ -287,6 +287,16 @@ func (r *Recorder) anomalyLocked(epoch, stream int, kind string, data map[string
 	}
 }
 
+// SetBaseline arms the throughput-regression watchdog with a
+// BenchBaseline value once the campaign's scheduling policy is known
+// (a resumed campaign takes it from its snapshot). Call it before the
+// first barrier.
+func (r *Recorder) SetBaseline(edgesPer1k float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.cfg.Watchdogs.BaselineEdgesPer1k = edgesPer1k
+}
+
 // BenchBaseline extracts the committed throughput baseline
 // (edges per 1000 ticks) for a scheduler policy from a
 // BENCH_sched.json file, preferring the cache-enabled variant of the
