@@ -71,13 +71,14 @@ bench-smoke:
 	@rm -f .bench-smoke.json
 
 # bench-gate is the performance regression gate (docs/PERFORMANCE.md):
-# the always-on allocation budget for the hot loop, then a full-budget
-# rerun of schedbench compared against the committed BENCH_sched.json —
-# fails if steady-state ticks allocate, if edges/sec regresses more
+# the always-on allocation budgets for the compile and mutate halves of
+# the tick, then a full-budget rerun of schedbench compared against the
+# committed BENCH_sched.json — fails if steady-state ticks allocate past
+# their budgets, if edges/sec regresses more
 # than 10%, or if any tick/edge/crash count drifts (a determinism break
 # outranks any speedup). Opt into it from check with BENCH_GATE=1.
 bench-gate:
-	$(GO) test -run TestHotLoopAllocBudget -count=1 .
+	$(GO) test -run 'TestHotLoopAllocBudget|TestMutationStepAllocBudget' -count=1 .
 	$(GO) run ./cmd/experiments -run benchgate
 
 maybe-bench-gate:

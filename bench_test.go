@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -495,6 +496,52 @@ func TestHotLoopAllocBudget(t *testing.T) {
 	})
 	if avg >= 1 {
 		t.Fatalf("hot loop allocates: %.2f allocs/tick, budget < 1 (see docs/PERFORMANCE.md)", avg)
+	}
+}
+
+// mutationStepBytes runs a warm macro-fuzzer stream — havoc stacking,
+// the unchecked-rewrite splice and the static filter on, no mutant
+// cache — and returns the heap bytes allocated per Step. The pool and
+// every per-stream arena are grown by the warm-up, so what remains is
+// the steady-state cost of the mutate half of the tick: the mutant
+// strings themselves plus whatever the parses fail to reuse.
+func mutationStepBytes(tb testing.TB) float64 {
+	tb.Helper()
+	comp := compilersim.New("gcc", 14)
+	cfg := fuzz.DefaultMacroConfig()
+	cfg.StaticFilter = true
+	f := fuzz.NewMacroFuzzer("alloc-budget", comp, muast.All(), seeds.Generate(24, 3),
+		rand.New(rand.NewSource(7)), fuzz.NewSharedCoverage(), cfg)
+	for i := 0; i < 300; i++ {
+		f.Step()
+	}
+	const steps = 600
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < steps; i++ {
+		f.Step()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / steps
+}
+
+// mutationStepBudget bounds mutationStepBytes. Measured at ~4.1 KB/step
+// with every hot-loop parse on a per-stream or pooled arena; heap
+// parses of each havoc round and of the static filter cost ~55 KB/step.
+// The budget leaves 2x headroom over the former and sits ~7x under the
+// latter.
+const mutationStepBudget = 8 << 10
+
+// TestMutationStepAllocBudget is the always-on allocation gate for the
+// mutate half of the tick (TestHotLoopAllocBudget covers compile and
+// record): a regression back to heap parses on the havoc rounds or the
+// static filter multiplies the bytes per step and trips it.
+func TestMutationStepAllocBudget(t *testing.T) {
+	got := mutationStepBytes(t)
+	t.Logf("mutation step: %.0f B/step", got)
+	if got > mutationStepBudget {
+		t.Fatalf("mutation step allocates %.0f B/step, budget %d (see docs/PERFORMANCE.md)", got, mutationStepBudget)
 	}
 }
 

@@ -33,11 +33,11 @@ var parseCache = &parseCacheT{
 }
 
 // ParseAndCheckCached is ParseAndCheck with memoization over identical
-// sources. The fuzzers' hot loop parses the same pool program once per
-// mutator try (μCFuzz: up to 8 per tick), so the cache turns the
-// parse→check front half of the mutation pipeline into a map lookup.
-// Only successes are cached; errors re-parse (pool programs are always
-// valid, so misses on garbage cost nothing extra in practice).
+// sources, for the cold paths that parse the same program repeatedly
+// (reduce, grayc, mutdsl, the metamut API, lint). No fuzzer hot loop
+// uses it: their inputs are mostly fresh mutants, and an arena parse
+// (ParseAndCheckArena) beats the cache there. Only successes are
+// cached; errors re-parse.
 func ParseAndCheckCached(src string) (*TranslationUnit, error) {
 	pc := parseCache
 	pc.mu.RLock()

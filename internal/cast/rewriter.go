@@ -139,6 +139,14 @@ func (rw *Rewriter) Rewritten() string {
 // Reset discards all recorded edits.
 func (rw *Rewriter) Reset() { rw.edits = rw.edits[:0] }
 
+// ResetTo discards all recorded edits and rebinds the rewriter to src,
+// making it equivalent to NewRewriter(src) while keeping the edit
+// buffer's capacity.
+func (rw *Rewriter) ResetTo(src string) {
+	rw.src = src
+	rw.edits = rw.edits[:0]
+}
+
 // GetSourceText extracts the original text of a range.
 func (rw *Rewriter) GetSourceText(r SourceRange) string {
 	if !rw.validRange(r.Begin, r.End) {

@@ -275,31 +275,50 @@ func safeApply(mu *muast.Mutator, src string, mgr *muast.Manager) (mutant string
 	return
 }
 
-// uncheckedRewrite performs a completely unvalidated expression-over-
-// expression splice on src. ok is false when src has no two expressions
-// to splice.
-func uncheckedRewrite(src string, rng *rand.Rand) (string, bool) {
-	mgr, err := muast.NewManager(src, rng)
-	if err != nil {
-		return "", false
-	}
-	return spliceWith(mgr, rng)
+// mutationArena is one stream's mutation parse state: an AST arena and
+// the manager rebound to each translation unit parsed into it. Mutation
+// inputs on the hot loop are mostly freshly minted mutant strings, so
+// routing them through the global parse cache would be all misses and
+// pure pollution; an arena parse reuses the arena's storage instead.
+// Every node the manager hands out dies at the next parse — only the
+// rewritten strings (owned) may escape.
+type mutationArena struct {
+	arena *cast.Arena
+	rng   *rand.Rand
+	mgr   *muast.Manager
 }
 
-// uncheckedRewriteArena is uncheckedRewrite over a caller-owned AST
-// arena. Splice inputs are freshly minted mutant strings, so routing
-// them through the global parse cache is all misses and pure pollution;
-// an arena parse costs zero steady-state allocations instead. The
-// manager and every node it hands out die before this returns, which is
-// what makes borrowing from the arena safe — only the rewritten string
-// (owned) escapes.
-func uncheckedRewriteArena(src string, rng *rand.Rand, arena *cast.Arena) (string, bool) {
-	arena.Reset()
-	tu, err := cast.ParseAndCheckArena(src, arena)
+// newMutationArena returns an empty arena whose manager draws from rng.
+func newMutationArena(rng *rand.Rand) *mutationArena {
+	return &mutationArena{arena: cast.NewArena(), rng: rng}
+}
+
+// manager resets the arena, parses and checks src into it, and rebinds
+// the arena's manager to the result. The previous manager and every
+// node from the previous parse are invalid afterwards.
+func (a *mutationArena) manager(src string) (*muast.Manager, error) {
+	a.arena.Reset()
+	tu, err := cast.ParseAndCheckArena(src, a.arena)
+	if err != nil {
+		return nil, err
+	}
+	if a.mgr == nil {
+		a.mgr = muast.NewManagerFromTU(tu, a.rng)
+	} else {
+		a.mgr.ResetTo(tu)
+	}
+	return a.mgr, nil
+}
+
+// uncheckedRewriteArena performs a completely unvalidated expression-
+// over-expression splice on src, parsed into a. ok is false when src has
+// no two expressions to splice.
+func uncheckedRewriteArena(src string, a *mutationArena) (string, bool) {
+	mgr, err := a.manager(src)
 	if err != nil {
 		return "", false
 	}
-	return spliceWith(muast.NewManagerFromTU(tu, rng), rng)
+	return spliceWith(mgr, a.rng)
 }
 
 // spliceWith draws the expression pair and performs the splice.
@@ -366,9 +385,12 @@ type MuCFuzz struct {
 	Sched sched.Scheduler
 
 	allowedFn func(int) bool
-	// spliceArena backs the unchecked-rewrite parses (see
-	// uncheckedRewriteArena).
-	spliceArena *cast.Arena
+	// mutArena holds the step's pool program and its manager, alive
+	// across every try of the step; spliceArena backs the
+	// unchecked-rewrite parses that run between those tries, so the two
+	// must stay separate.
+	mutArena    *mutationArena
+	spliceArena *mutationArena
 	// flight, when attached, journals crashes, pool admissions,
 	// rewards, and quarantine churn (see AttachFlight).
 	flight FlightEmitter
@@ -392,7 +414,8 @@ func NewMuCFuzz(name string, comp *compilersim.Compiler, mutators []*muast.Mutat
 		UncheckedRate:   DefaultUncheckedRate,
 		Quarantine:      resil.NewQuarantine(DefaultQuarantine(), nil),
 		Sched:           sched.NewUniform(len(mutators)),
-		spliceArena:     cast.NewArena(),
+		mutArena:        newMutationArena(rng),
+		spliceArena:     newMutationArena(rng),
 	}
 	f.allowedFn = f.armAllowed
 	return f
@@ -446,10 +469,10 @@ func (f *MuCFuzz) Step() {
 	order := f.Sched.Order(f.rng, f.allowedFn)
 	tries := 0
 	// One mutation manager serves every try of the step: all tries
-	// mutate the same pool program p, so the manager is built once
-	// (one parse via the cache, one parent-map derivation) and
-	// Reset — which restores it to freshly-constructed state — recycles
-	// it between tries.
+	// mutate the same pool program p, so it is parsed once into the
+	// step's arena (one parent-map derivation at most) and Reset —
+	// which restores the manager to freshly-constructed state —
+	// recycles it between tries.
 	var mgr *muast.Manager
 	for _, mi := range order {
 		if tries >= f.MaxMutatorTries {
@@ -461,7 +484,7 @@ func (f *MuCFuzz) Step() {
 		}
 		if mgr == nil {
 			var err error
-			mgr, err = muast.NewManager(p, f.rng)
+			mgr, err = f.mutArena.manager(p)
 			if err != nil {
 				return // pool entry no longer parses (should not happen)
 			}
@@ -483,7 +506,7 @@ func (f *MuCFuzz) Step() {
 			continue // try the next (free)
 		}
 		if f.rng.Float64() < f.UncheckedRate {
-			if spliced, sok := uncheckedRewriteArena(mutant, f.rng, f.spliceArena); sok {
+			if spliced, sok := uncheckedRewriteArena(mutant, f.spliceArena); sok {
 				mutant = spliced
 			}
 		}
@@ -625,9 +648,10 @@ type MacroFuzzer struct {
 
 	allowedFn func(int) bool
 	armBuf    []int // applied-arm scratch, reused across steps
-	// spliceArena backs the unchecked-rewrite parses (see
-	// uncheckedRewriteArena).
-	spliceArena *cast.Arena
+	// mutArena backs every havoc round's parse and the unchecked-rewrite
+	// splice: each round's manager is dead before the next parse, so one
+	// arena serves the whole step.
+	mutArena *mutationArena
 	// flight, when attached, journals crashes, pool admissions,
 	// rewards, and quarantine churn (see AttachFlight).
 	flight FlightEmitter
@@ -645,9 +669,9 @@ func NewMacroFuzzer(name string, comp *compilersim.Compiler,
 		comp: comp, cx: comp.NewContext(),
 		mutators: mutators, pool: pool, rng: rng,
 		stats: NewStats(name), shared: shared, cfg: cfg,
-		Quarantine:  resil.NewQuarantine(DefaultQuarantine(), nil),
-		Sched:       sched.NewUniform(len(mutators)),
-		spliceArena: cast.NewArena(),
+		Quarantine: resil.NewQuarantine(DefaultQuarantine(), nil),
+		Sched:      sched.NewUniform(len(mutators)),
+		mutArena:   newMutationArena(rng),
 	}
 	f.allowedFn = f.armAllowed
 	return f
@@ -719,7 +743,7 @@ func (f *MacroFuzzer) Step() {
 		if !f.Quarantine.Allowed(mu.Name) {
 			continue // benched offender; the round is spent, like a no-op
 		}
-		mgr, err := muast.NewManager(cur, f.rng)
+		mgr, err := f.mutArena.manager(cur)
 		if err != nil {
 			break // intermediate mutant went invalid; stop stacking
 		}
@@ -751,7 +775,7 @@ func (f *MacroFuzzer) Step() {
 		return
 	}
 	if f.rng.Float64() < f.cfg.UncheckedRate {
-		if spliced, sok := uncheckedRewriteArena(cur, f.rng, f.spliceArena); sok {
+		if spliced, sok := uncheckedRewriteArena(cur, f.mutArena); sok {
 			cur = spliced
 		}
 	}

@@ -101,11 +101,11 @@ func TestMacroFlagSampling(t *testing.T) {
 }
 
 func TestUncheckedRewriteProducesOutput(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
+	arena := newMutationArena(rand.New(rand.NewSource(9)))
 	src := seeds.Generate(5, 1)[4]
 	produced := 0
 	for i := 0; i < 30; i++ {
-		if out, ok := uncheckedRewrite(src, rng); ok {
+		if out, ok := uncheckedRewriteArena(src, arena); ok {
 			produced++
 			if out == src {
 				t.Error("unchecked rewrite was a no-op")

@@ -42,18 +42,22 @@ type Manager struct {
 
 	rng     *rand.Rand
 	parents cast.ParentMap
-	nameSeq int
-	idents  map[string]bool
-	fuel    int
-	budget  int
+	// parentsOK reports whether parents describes TU; ResetTo clears
+	// the map in place and drops the flag so Parents stays lazy.
+	parentsOK bool
+	nameSeq   int
+	idents    map[string]bool
+	fuel      int
+	budget    int
 }
 
 // NewManager parses and checks src and returns a mutation context using
 // the given random stream. It fails if src is not a valid program —
 // mutators are only ever applied to compilable inputs. Parses are
-// memoized (cast.ParseAndCheckCached): μCFuzz re-parses the same pool
-// program up to MaxMutatorTries times per tick, so the managers of one
-// tick share a single immutable translation unit.
+// memoized (cast.ParseAndCheckCached) for the cold paths that build a
+// manager per program (reduce, grayc, mutdsl, the metamut API, lint).
+// No fuzzer hot loop calls it: the fuzzers parse into per-stream arenas
+// and rebind one manager with ResetTo.
 func NewManager(src string, rng *rand.Rand) (*Manager, error) {
 	tu, err := cast.ParseAndCheckCached(src)
 	if err != nil {
@@ -95,6 +99,19 @@ func (m *Manager) Reset() {
 	m.budget = DefaultFuel
 	m.nameSeq = 0
 	m.idents = nil
+}
+
+// ResetTo rebinds the manager to tu, making it equivalent to
+// NewManagerFromTU(tu, m.Rand()) while reusing the rewriter and the
+// parent map's storage. The parent map is cleared unconditionally: a TU
+// re-parsed into a reset arena comes back at the same address, so "same
+// pointer" never means "same tree".
+func (m *Manager) ResetTo(tu *cast.TranslationUnit) {
+	m.TU = tu
+	m.RW.ResetTo(tu.Source)
+	clear(m.parents)
+	m.parentsOK = false
+	m.Reset()
 }
 
 // identsMap lazily scans the source for identifiers. Most mutators
@@ -250,8 +267,9 @@ func (m *Manager) Stmts(root cast.Node, pred func(cast.Stmt) bool) []cast.Stmt {
 
 // Parents lazily computes and caches the parent map.
 func (m *Manager) Parents() cast.ParentMap {
-	if m.parents == nil {
-		m.parents = cast.BuildParentMap(m.TU)
+	if !m.parentsOK {
+		m.parents = cast.BuildParentMapInto(m.parents, m.TU)
+		m.parentsOK = true
 	}
 	return m.parents
 }

@@ -3,6 +3,7 @@ package mutcheck
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"github.com/icsnju/metamut-go/internal/cast"
 )
@@ -21,12 +22,24 @@ const (
 	CheckUnusedVariable  = "unused-variable"
 )
 
+// rejectArenas recycles Reject's parse arenas. Each call owns one
+// arena exclusively between Get and Put, so concurrent fuzzing streams
+// share the pool safely and nothing from the parse outlives the call.
+var rejectArenas = sync.Pool{New: func() any { return cast.NewArena() }}
+
 // Reject is the fuzzing hot-path entry point: it reports whether the
 // compilersim front end would reject src, and under which check. It runs
 // exactly cast.Parse + cast.Check — by construction it never rejects a
-// program the simulated compiler accepts.
+// program the simulated compiler accepts — over a pooled arena, so a
+// steady-state check reuses the arena's storage instead of allocating a
+// tree per mutant.
 func Reject(src string) (check string, reject bool) {
-	tu, err := cast.Parse(src)
+	a := rejectArenas.Get().(*cast.Arena)
+	defer func() {
+		a.Reset()
+		rejectArenas.Put(a)
+	}()
+	tu, err := cast.ParseWithArena(src, a)
 	if err != nil {
 		return CheckParseError, true
 	}
