@@ -42,13 +42,17 @@ test:
 	$(GO) test ./...
 
 # The obs registry, the fuzz stats, and the campaign engine are the
-# shared-mutable-state hot spots; mutcheck rides along because the
-# fuzzers call it from the same paths the race pass exercises, and the
-# resilience layer (breaker, chaos injector) because its whole job is
-# concurrent fault handling. detlint rides along so the invariant gate
-# (including its repo-wide self-check test) is itself race-vetted.
+# shared-mutable-state hot spots. compilersim is on every fuzzing
+# path: all of a campaign's workers share one Compiler, its pooled
+# contexts and its mutex-guarded mutant cache. mutcheck is off the fuzz
+# path (the fuzzers filter through compilersim's front end) but rides
+# along for Reject's arena pool, which concurrent callers share. The
+# resilience layer (breaker, chaos injector) is here because its whole
+# job is concurrent fault handling. detlint rides along so the invariant
+# gate (including its repo-wide self-check test) is itself race-vetted.
 race:
-	$(GO) test -race ./internal/obs ./internal/fuzz ./internal/mutcheck \
+	$(GO) test -race ./internal/obs ./internal/fuzz ./internal/compilersim \
+		./internal/mutcheck \
 		./internal/engine ./internal/resil ./internal/resil/chaos \
 		./internal/sched ./internal/flight ./internal/detlint \
 		./internal/serve ./internal/serve/heal

@@ -351,18 +351,23 @@ func benchRecord(b *testing.B, instrumented bool) {
 }
 
 // BenchmarkStaticRejectPath / BenchmarkCompilersimRejectPath price the
-// two ways of discarding the same invalid mutant: the mutcheck front-end
-// analysis versus a full simulated compiler tick (lexing, coverage walk,
-// bug checks). Their gap is the saving μCFuzz's pre-compile filter banks
-// on every statically-rejected mutant.
+// two ways of discarding the same invalid mutant: the static filter the
+// fuzzers run (Context.Front, the compiler's front end alone, named by
+// mutcheck.Classify) versus a full simulated compiler tick (front end,
+// defect checks, outcome bookkeeping). Their gap is the saving the
+// fuzzers' pre-compile filter banks on every statically-rejected mutant;
+// an accepted mutant pays nothing extra, because Finish reuses the parse.
 func BenchmarkStaticRejectPath(b *testing.B) {
 	src := badMutant(b)
+	cx := compilersim.New("gcc", 14).NewContext()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, rejected := mutcheck.Reject(src); !rejected {
+		err := cx.Front(src)
+		if err == nil {
 			b.Fatal("mutant unexpectedly accepted")
 		}
+		mutcheck.Classify(err)
 	}
 }
 

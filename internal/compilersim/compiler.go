@@ -162,26 +162,9 @@ func (t *compilerTelemetry) record(c *Compiler, res Result) {
 // that can honor the borrow discipline should hold a Context and call
 // Context.Compile instead.
 func (c *Compiler) Compile(src string, opts Options) Result {
-	var key [32]byte
-	if c.cache != nil {
-		key = mutantKey(src, opts)
-		if res, ok := c.cache.get(key); ok {
-			if t := c.tele; t != nil {
-				t.cacheHits.Inc()
-				t.record(c, res)
-			}
-			return res
-		}
-	}
 	cx := c.ctxs.Get().(*Context)
-	res := cloneResult(cx.compile(src, opts))
+	res := cx.memo(src, opts, true, true)
 	c.ctxs.Put(cx)
-	if c.cache != nil {
-		c.cache.put(key, res)
-	}
-	if t := c.tele; t != nil {
-		t.record(c, res)
-	}
 	return res
 }
 

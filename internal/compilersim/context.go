@@ -17,12 +17,16 @@ import (
 //
 //   - A Context is NOT safe for concurrent use. One context per stream,
 //     the same discipline as the stream RNG.
-//   - Results returned by Context.Compile are BORROWED: Coverage, Feats,
-//     Diagnostics and Object alias context-owned storage and are valid
-//     only until the next Compile on the same context. Callers that
-//     retain anything (corpus admission, crash reports) must copy what
-//     they keep — coverage is typically merged immediately, which is a
-//     copy by construction.
+//   - Results returned by Context.Compile and Context.Finish are
+//     BORROWED: Coverage, Feats, Diagnostics and Object alias
+//     context-owned storage and are valid only until the next Compile or
+//     Front on the same context. Callers that retain anything (corpus
+//     admission, crash reports) must copy what they keep — coverage is
+//     typically merged immediately, which is a copy by construction.
+//   - Front borrows the context from its call until the matching Finish
+//     (or the next Front/Compile): the kept tree, tokens and front-end
+//     coverage live in context storage, and any Compile or Front in
+//     between invalidates them.
 //   - Compiler.Compile keeps its owning contract: it compiles through a
 //     pooled context and deep-clones the result before returning it.
 type Context struct {
@@ -41,6 +45,7 @@ type Context struct {
 	lx    *cast.Lexer
 	toks  []cast.Token
 	arena *cast.Arena
+	tu    *cast.TranslationUnit // Front's tree, valid until the next Front
 	g     irgen
 	o     optimizer
 	be    codegen
@@ -67,9 +72,30 @@ func (c *Compiler) NewContext() *Context {
 
 // Compile runs the full pipeline on src through this context, consulting
 // the compiler's mutant cache when one is enabled. The result is
-// borrowed (valid until the next Compile on this context); cache entries
-// are deep clones, so cached results stay immutable and shareable.
+// borrowed (valid until the next Compile or Front on this context);
+// cache entries are deep clones, so cached results stay immutable and
+// shareable.
 func (cx *Context) Compile(src string, opts Options) Result {
+	return cx.memo(src, opts, true, false)
+}
+
+// Finish completes the compilation Front started on this context: the
+// mutant-cache lookup keyed on Front's src, front-end defect checks,
+// irgen, opt and back end. Front followed by Finish returns exactly
+// what Compile returns, under the same borrow rule. Finish is valid only
+// directly after Front on the same context.
+func (cx *Context) Finish(opts Options) Result {
+	return cx.memo(cx.tc.Source, opts, false, false)
+}
+
+// memo is the one mutant-cache wrapper behind Compiler.Compile,
+// Context.Compile and Context.Finish. A hit returns the cached (shared,
+// immutable) result; a miss runs the front end when runFront is set
+// (Finish's caller already ran it), then the back half, and caches a
+// deep clone. own clones the result handed back too, so an owning
+// caller and the cache share that one clone. Hits and misses both book
+// outcome telemetry.
+func (cx *Context) memo(src string, opts Options, runFront, own bool) Result {
 	c := cx.c
 	var key [32]byte
 	if c.cache != nil {
@@ -82,9 +108,19 @@ func (cx *Context) Compile(src string, opts Options) Result {
 			return res
 		}
 	}
-	res := cx.compile(src, opts)
+	if runFront {
+		cx.Front(src)
+	}
+	res := cx.back(opts)
+	if own {
+		res = cloneResult(res)
+	}
 	if c.cache != nil {
-		c.cache.put(key, cloneResult(res))
+		kept := res
+		if !own {
+			kept = cloneResult(res)
+		}
+		c.cache.put(key, kept)
 	}
 	if t := c.tele; t != nil {
 		t.record(c, res)
@@ -92,16 +128,23 @@ func (cx *Context) Compile(src string, opts Options) Result {
 	return res
 }
 
-// compile is the uninstrumented pipeline over reused context state.
-func (cx *Context) compile(src string, opts Options) Result {
+// Front runs only the front end over src, the first half of the
+// pipeline: it resets the coverage map, features and diagnostics, then
+// lexes, parses and checks src into the context arena, recording
+// front-end coverage into the context's map and keeping the tree and
+// the ParseOK/CheckOK verdict for Finish. It returns the first
+// front-end error (a lex error or *cast.ParseError, or the
+// cast.SemaErrors of a failed check) and checks no defects, so a caller
+// can drop a mutant the front end rejects without it ever reaching
+// checkBugs.
+func (cx *Context) Front(src string) error {
 	c := cx.c
 	cx.cov.Reset()
 	clear(cx.feats)
 	cx.diags = cx.diags[:0]
 	diags := cx.diags
 	covMap := &cx.cov
-	feats := cx.feats
-	cx.tc = TriggerCtx{Source: src, Feats: feats, OptLevel: opts.OptLevel}
+	cx.tc = TriggerCtx{Source: src, Feats: cx.feats}
 	tc := &cx.tc
 
 	// ---- Front-end: one lex serves both the lexical coverage walk and
@@ -145,7 +188,9 @@ func (cx *Context) compile(src string, opts Options) Result {
 		cx.arena.Reset()
 		tu, perr = cast.ParseTokens(src, toks, cx.arena)
 	}
+	cx.tu = tu
 	tc.ParseOK = perr == nil
+	ferr := perr
 	if perr != nil {
 		diags = append(diags, perr.Error())
 		// Error recovery is code too: distinct syntactic failure points
@@ -165,6 +210,7 @@ func (cx *Context) compile(src string, opts Options) Result {
 		})
 		if cerr := cast.Check(tu); cerr != nil {
 			tc.CheckOK = false
+			ferr = cerr
 			if se, ok := cerr.(cast.SemaErrors); ok {
 				for _, e := range se {
 					diags = append(diags, e.Error())
@@ -178,6 +224,18 @@ func (cx *Context) compile(src string, opts Options) Result {
 		}
 	}
 	cx.diags = diags
+	return ferr
+}
+
+// back is the second half of the pipeline, over the state Front left:
+// front-end defect checks, then irgen, opt and back end.
+func (cx *Context) back(opts Options) Result {
+	c := cx.c
+	covMap := &cx.cov
+	feats := cx.feats
+	diags := cx.diags
+	tc := &cx.tc
+	tc.OptLevel = opts.OptLevel
 
 	// Front-end defects can fire on any input (error-recovery paths).
 	if crash := c.checkBugs(tc, FrontEnd); crash != nil {
@@ -191,7 +249,7 @@ func (cx *Context) compile(src string, opts Options) Result {
 	cx.irTr.ResetTo(covMap, c.irSeed)
 	cx.g.trace = &cx.irTr
 	cx.g.feats = feats
-	prog := cx.g.generate(tu)
+	prog := cx.g.generate(cx.tu)
 	if crash := c.checkBugs(tc, IRGen); crash != nil {
 		return c.crashResult(crash, covMap, feats, diags)
 	}

@@ -38,9 +38,9 @@ type Stats struct {
 	// Total and Compilable mutant counts (Table 5).
 	Total      int
 	Compilable int
-	// StaticRejects counts mutants the mutcheck front-end analysis
-	// discarded before they consumed a compiler tick (subset of
-	// Total - Compilable).
+	// StaticRejects counts mutants the static filter (the compiler's
+	// front end, classified by mutcheck) discarded before they consumed
+	// a compiler tick (subset of Total - Compilable).
 	StaticRejects int
 	// Ticks consumed so far.
 	Ticks int
@@ -343,6 +343,17 @@ func spliceWith(mgr *muast.Manager, rng *rand.Rand) (string, bool) {
 	return mgr.Apply(), true
 }
 
+// compileMutant compiles src through the stream's context. With the
+// static filter on, the caller has already run cx.Front(src) and it
+// accepted the mutant, so only Finish remains and the compile reuses
+// that one parse.
+func compileMutant(cx *compilersim.Context, src string, opts compilersim.Options, frontDone bool) compilersim.Result {
+	if frontDone {
+		return cx.Finish(opts)
+	}
+	return cx.Compile(src, opts)
+}
+
 // ---------------------------------------------------------------------
 // μCFuzz — Algorithm 1
 // ---------------------------------------------------------------------
@@ -370,9 +381,11 @@ type MuCFuzz struct {
 	// Blind disables coverage guidance (Algorithm 1 line 8): mutants are
 	// admitted to the pool at a small fixed rate instead. Ablation only.
 	Blind bool
-	// StaticFilter discards mutants the mutcheck front-end analysis
-	// rejects before they consume a compiler tick. Off by default; the
-	// mucfuzz CLI enables it (and exposes -no-static to turn it off).
+	// StaticFilter discards mutants the compiler's front end rejects
+	// (Context.Front, named by mutcheck.Classify) before they consume a
+	// compiler tick; accepted mutants finish compiling from that parse.
+	// Off by default; the mucfuzz CLI enables it (and exposes -no-static
+	// to turn it off).
 	StaticFilter bool
 	// Quarantine benches mutators that keep panicking or exhausting
 	// their fuel budget (strike/parole discipline). Per-instance and
@@ -513,20 +526,19 @@ func (f *MuCFuzz) Step() {
 		if len(mutant) > f.MaxProgramSize {
 			continue
 		}
+		tries++
 		if f.StaticFilter {
-			if check, rejected := mutcheck.Reject(mutant); rejected {
-				tries++
-				f.stats.RecordStaticReject(mu.Name, check)
+			if err := f.cx.Front(mutant); err != nil {
+				f.stats.RecordStaticReject(mu.Name, mutcheck.Classify(err))
 				f.Sched.Observe(mi, sched.Reward{CompileError: true})
 				continue
 			}
 		}
-		tries++
 		nCrash := len(f.stats.Crashes)
 		// Compile through the per-stream context: the result is borrowed
 		// (coverage aliases context storage until the next compile), and
 		// Stats.Record merges the coverage immediately, which is the copy.
-		res := f.cx.Compile(mutant, f.opts)
+		res := compileMutant(f.cx, mutant, f.opts, f.StaticFilter)
 		isNew := f.stats.Record(mutant, mu.Name, res)
 		if f.flight != nil && len(f.stats.Crashes) > nCrash {
 			emitCrash(f.flight, f.stats, res.Crash, mu.Name)
@@ -649,8 +661,8 @@ type MacroFuzzer struct {
 	allowedFn func(int) bool
 	armBuf    []int // applied-arm scratch, reused across steps
 	// mutArena backs every havoc round's parse and the unchecked-rewrite
-	// splice: each round's manager is dead before the next parse, so one
-	// arena serves the whole step.
+	// splice: each manager is dead before the next parse, so one arena
+	// serves the whole step.
 	mutArena *mutationArena
 	// flight, when attached, journals crashes, pool admissions,
 	// rewards, and quarantine churn (see AttachFlight).
@@ -731,6 +743,10 @@ func (f *MacroFuzzer) Step() {
 	cur := p
 	via := ""
 	applied := f.armBuf[:0]
+	// mgr stays bound to cur until a round replaces it: a round whose
+	// mutator does not apply or faults leaves cur unchanged, so the next
+	// round Resets the manager instead of parsing the same text again.
+	var mgr *muast.Manager
 	for i := 0; i < rounds; i++ {
 		// The scheduler picks each round's mutator from the stream RNG:
 		// Uniform is the legacy rng.Intn draw, Adaptive is
@@ -743,9 +759,13 @@ func (f *MacroFuzzer) Step() {
 		if !f.Quarantine.Allowed(mu.Name) {
 			continue // benched offender; the round is spent, like a no-op
 		}
-		mgr, err := f.mutArena.manager(cur)
-		if err != nil {
-			break // intermediate mutant went invalid; stop stacking
+		if mgr == nil {
+			var err error
+			if mgr, err = f.mutArena.manager(cur); err != nil {
+				break // intermediate mutant went invalid; stop stacking
+			}
+		} else {
+			mgr.Reset()
 		}
 		mutant, ok, faulted, fuel := safeApply(mu, cur, mgr)
 		if faulted {
@@ -764,6 +784,7 @@ func (f *MacroFuzzer) Step() {
 			break // resource limit: drop oversized offspring
 		}
 		cur = mutant
+		mgr = nil
 		applied = append(applied, mi)
 		if via != "" {
 			via += "+"
@@ -780,8 +801,8 @@ func (f *MacroFuzzer) Step() {
 		}
 	}
 	if f.cfg.StaticFilter {
-		if check, rejected := mutcheck.Reject(cur); rejected {
-			f.stats.RecordStaticReject(via, check)
+		if err := f.cx.Front(cur); err != nil {
+			f.stats.RecordStaticReject(via, mutcheck.Classify(err))
 			for _, mi := range applied {
 				f.Sched.Observe(mi, sched.Reward{CompileError: true})
 			}
@@ -790,10 +811,12 @@ func (f *MacroFuzzer) Step() {
 	}
 	nCrash := len(f.stats.Crashes)
 	// Per-stream context compile; the borrowed coverage is merged by
-	// Record and by the shared sink below before the next compile.
+	// Record and by the shared sink below before the next compile. The
+	// flags are drawn only for a mutant that reaches the compiler: a
+	// statically rejected one draws nothing from the stream RNG.
 	// Reward observation is NOT batched here: Pick reads the posterior
 	// every havoc round, so deferring Observe would change the picks.
-	res := f.cx.Compile(cur, f.sampleOptions())
+	res := compileMutant(f.cx, cur, f.sampleOptions(), f.cfg.StaticFilter)
 	f.stats.Record(cur, via, res)
 	if f.flight != nil && len(f.stats.Crashes) > nCrash {
 		emitCrash(f.flight, f.stats, res.Crash, via)
@@ -852,11 +875,6 @@ func (f *MuCFuzz) SetCorpus(pool []string) {
 	f.pool = make([]string, len(pool))
 	copy(f.pool, pool)
 }
-
-// The old RunParallel/RunParallelProgress round-robin loop — parallel in
-// name only — lived here; true goroutine parallelism with deterministic
-// epoch-based coverage sync is internal/engine's job now (the engine
-// package keeps compatibility shims under the same names).
 
 // MergedCrashes unions workers' unique crashes (earliest discovery wins).
 func MergedCrashes(workers []*MacroFuzzer) map[string]*CrashInfo {

@@ -71,3 +71,101 @@ func TestResetToMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// editThenPanic records an edit, draws from the stream and grows the
+// identifier set, then panics — the worst state a faulting mutator can
+// leave its manager in.
+var editThenPanic = &muast.Mutator{Info: muast.Info{
+	Name: "TestEditThenPanic",
+	Fn: func(mgr *muast.Manager) bool {
+		fns := mgr.Functions()
+		if len(fns) > 0 {
+			fn := fns[mgr.Rand().Intn(len(fns))]
+			mgr.InsertBefore(fn, "int "+mgr.GenerateUniqueName("junk")+";\n")
+		}
+		panic("test: mutator fault after an edit")
+	},
+}}
+
+// fuelBomb shrinks its manager's budget and runs it dry, so the try
+// ends in the fuel watchdog's panic with a non-default budget set.
+var fuelBomb = &muast.Mutator{Info: muast.Info{
+	Name: "TestFuelBomb",
+	Fn: func(mgr *muast.Manager) bool {
+		mgr.SetFuel(64)
+		for {
+			mgr.Functions()
+		}
+	},
+}}
+
+// tryApply is one supervised try, as the fuzzers run it: a panic
+// (including fuel exhaustion) is recovered and reported as faulted.
+func tryApply(mu *muast.Mutator, src string, mgr *muast.Manager) (mutant string, ok, faulted bool) {
+	defer func() {
+		if recover() != nil {
+			mutant, ok, faulted = "", false, true
+		}
+	}()
+	mutant, ok = mu.Apply(src, mgr)
+	return
+}
+
+// TestResetAfterFailedTryMatchesFresh pins what a havoc round relies on
+// when it keeps its manager bound across rounds that left the program
+// unchanged: on each seed program, every registered mutator plus two
+// faulting test mutators runs over one bound manager with Reset between
+// tries, whatever each try returned. Each try must match a fresh
+// manager on (mutant, ok, faulted) and on the next stream draw.
+func TestResetAfterFailedTryMatchesFresh(t *testing.T) {
+	mutators := append(muast.All(), editThenPanic, fuelBomb)
+	arena := cast.NewArena()
+	var bound *muast.Manager
+	rngFresh := rand.New(rand.NewSource(13))
+	rngBound := rand.New(rand.NewSource(13))
+	var applied, failed, faulted int
+	for _, seed := range []int64{1, 2, 3} {
+		for pi, src := range seeds.Generate(6, seed) {
+			arena.Reset()
+			tu, err := cast.ParseAndCheckArena(src, arena)
+			if err != nil {
+				t.Fatalf("seed %d program %d: arena parse: %v", seed, pi, err)
+			}
+			if bound == nil {
+				bound = muast.NewManagerFromTU(tu, rngBound)
+			} else {
+				bound.ResetTo(tu)
+			}
+			for k, mu := range mutators {
+				if k > 0 {
+					bound.Reset()
+				}
+				fresh, err := muast.NewManager(src, rngFresh)
+				if err != nil {
+					t.Fatalf("seed %d program %d: %v", seed, pi, err)
+				}
+				wantOut, wantOK, wantFault := tryApply(mu, src, fresh)
+				gotOut, gotOK, gotFault := tryApply(mu, src, bound)
+				if gotOK != wantOK || gotFault != wantFault || gotOut != wantOut {
+					t.Fatalf("seed %d program %d %s: bound manager gave (%v, fault %v, %q), fresh manager (%v, fault %v, %q)",
+						seed, pi, mu.Name, gotOK, gotFault, gotOut, wantOK, wantFault, wantOut)
+				}
+				if g, w := rngBound.Int63(), rngFresh.Int63(); g != w {
+					t.Fatalf("seed %d program %d %s: stream draws diverged after the try", seed, pi, mu.Name)
+				}
+				switch {
+				case gotFault:
+					faulted++
+				case gotOK:
+					applied++
+				default:
+					failed++
+				}
+			}
+		}
+	}
+	if applied == 0 || failed == 0 || faulted == 0 {
+		t.Fatalf("tries: %d applied, %d not applicable, %d faulted; every outcome must precede a Reset",
+			applied, failed, faulted)
+	}
+}

@@ -10,7 +10,8 @@ import (
 // FuzzMutantValidator drives the soundness contract: Analyze/Reject must
 // never panic, and a static rejection must imply the compilersim front
 // end also rejects — the validator may never discard a mutant the
-// compiler under test accepts.
+// compiler under test accepts. The fuzzers' filter (Context.Front plus
+// Classify) must give Reject's verdict and check on every input.
 func FuzzMutantValidator(f *testing.F) {
 	for _, s := range seeds.Generate(20, 1) {
 		f.Add(s)
@@ -23,14 +24,19 @@ func FuzzMutantValidator(f *testing.F) {
 
 	comp := compilersim.New("gcc", 12)
 	opts := compilersim.DefaultOptions()
+	cx := comp.NewContext()
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<15 {
 			t.Skip()
 		}
 		diags := Analyze(src) // must not panic on any input
-		_, rejected := Reject(src)
+		check, rejected := Reject(src)
 		if rejected != HasErrors(diags) {
 			t.Fatalf("Reject=%v disagrees with Analyze errors=%v", rejected, HasErrors(diags))
+		}
+		if err := cx.Front(src); (err != nil) != rejected ||
+			(err != nil && Classify(err) != check) {
+			t.Fatalf("Front error %v disagrees with Reject = (%q, %v)", err, check, rejected)
 		}
 		res := comp.Compile(src, opts)
 		if rejected && res.OK {

@@ -27,12 +27,13 @@ const (
 // share the pool safely and nothing from the parse outlives the call.
 var rejectArenas = sync.Pool{New: func() any { return cast.NewArena() }}
 
-// Reject is the fuzzing hot-path entry point: it reports whether the
-// compilersim front end would reject src, and under which check. It runs
-// exactly cast.Parse + cast.Check — by construction it never rejects a
-// program the simulated compiler accepts — over a pooled arena, so a
-// steady-state check reuses the arena's storage instead of allocating a
-// tree per mutant.
+// Reject reports whether the compilersim front end would reject src,
+// and under which check. It runs exactly cast.Parse + cast.Check — by
+// construction it never rejects a program the simulated compiler
+// accepts — over a pooled arena, and names the check with Classify.
+// The fuzzers do not call it: they run compilersim.Context.Front and
+// classify its error, so the compile reuses that one parse. Reject
+// serves the cold paths and stand-alone replays of the filter.
 func Reject(src string) (check string, reject bool) {
 	a := rejectArenas.Get().(*cast.Arena)
 	defer func() {
@@ -40,16 +41,27 @@ func Reject(src string) (check string, reject bool) {
 		rejectArenas.Put(a)
 	}()
 	tu, err := cast.ParseWithArena(src, a)
-	if err != nil {
-		return CheckParseError, true
+	if err == nil {
+		err = cast.Check(tu)
 	}
-	if err := cast.Check(tu); err != nil {
-		if errs, ok := err.(cast.SemaErrors); ok && len(errs) > 0 {
-			return classifySema(errs[0].Msg), true
+	if err == nil {
+		return "", false
+	}
+	return Classify(err), true
+}
+
+// Classify names the static check behind a front-end error — the error
+// cast.Check or compilersim.Context.Front returns. A sema failure maps
+// its first message through classifySema; anything else is a lex or
+// parse error.
+func Classify(err error) string {
+	if errs, ok := err.(cast.SemaErrors); ok {
+		if len(errs) == 0 {
+			return CheckSemaError
 		}
-		return CheckSemaError, true
+		return classifySema(errs[0].Msg)
 	}
-	return "", false
+	return CheckParseError
 }
 
 // Analyze statically validates one candidate mutant: Error diagnostics

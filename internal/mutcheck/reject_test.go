@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/icsnju/metamut-go/internal/cast"
+	"github.com/icsnju/metamut-go/internal/compilersim"
 	"github.com/icsnju/metamut-go/internal/muast"
 	_ "github.com/icsnju/metamut-go/internal/mutators"
 	"github.com/icsnju/metamut-go/internal/seeds"
@@ -75,6 +76,52 @@ func TestRejectArenaMatchesHeap(t *testing.T) {
 	}
 	if checks[CheckParseError] == 0 || len(checks) < 3 {
 		t.Fatalf("corpus verdicts %v lack parse or sema rejections; the comparison is one-sided", checks)
+	}
+}
+
+// TestFrontClassifyMatchesReject pins the fuzzers' static filter to
+// Reject: on one reused compile context, Context.Front returns nil
+// exactly when Reject accepts, and Classify of its error names Reject's
+// check — and both agree with heapReject's independent classification.
+// The corpus adds truncations of every seed at several offsets to
+// rejectCorpus's seeds, mutants and garbage, plus one program per common
+// sema class and one whose sema errors fall in two classes (the first
+// names the check).
+func TestFrontClassifyMatchesReject(t *testing.T) {
+	corpus := rejectCorpus(t)
+	for _, src := range seeds.Generate(4, 9) {
+		for k := 1; k < 8; k++ {
+			corpus = append(corpus, src[:k*len(src)/8])
+		}
+	}
+	corpus = append(corpus,
+		"int main(void) { return undeclared_name; }",
+		"int main(void) { goto nowhere; }",
+		"int main(void) { break; }",
+		"int f(int a) { return a; } int main(void) { return f(); }",
+		"int main(void) { int x; int x; return 0; }",
+		"int main(void) { break; return undeclared_name; }")
+	cx := compilersim.New("gcc", 14).NewContext()
+	checks := map[string]int{}
+	for i, src := range corpus {
+		wantCheck, wantRej := Reject(src)
+		if refCheck, refRej := heapReject(src); refCheck != wantCheck || refRej != wantRej {
+			t.Fatalf("input %d: Reject = (%q, %v), heap parse = (%q, %v)\n%s",
+				i, wantCheck, wantRej, refCheck, refRej, src)
+		}
+		err := cx.Front(src)
+		if (err != nil) != wantRej {
+			t.Fatalf("input %d: Front error %v, Reject = (%q, %v)\n%s", i, err, wantCheck, wantRej, src)
+		}
+		if err != nil {
+			if got := Classify(err); got != wantCheck {
+				t.Fatalf("input %d: Classify = %q, Reject = %q\n%s", i, got, wantCheck, src)
+			}
+		}
+		checks[wantCheck]++
+	}
+	if checks[CheckParseError] == 0 || checks[""] == 0 || len(checks) < 7 {
+		t.Fatalf("corpus verdicts %v lack accepts, parse or sema rejections; the comparison is one-sided", checks)
 	}
 }
 
