@@ -76,6 +76,7 @@ import (
 	"time"
 
 	"github.com/icsnju/metamut-go/internal/compilersim"
+	"github.com/icsnju/metamut-go/internal/durable"
 	"github.com/icsnju/metamut-go/internal/engine"
 	"github.com/icsnju/metamut-go/internal/flight"
 	"github.com/icsnju/metamut-go/internal/fuzz"
@@ -174,12 +175,7 @@ func checkFlags(given map[string]string, exists func(path string) bool) error {
 // checkpointExists reports whether a checkpoint generation — the file
 // or its rotated .prev — is on disk at path.
 func checkpointExists(path string) bool {
-	for _, p := range []string{path, path + engine.PrevSuffix} {
-		if _, err := os.Stat(p); err == nil {
-			return true
-		}
-	}
-	return false
+	return durable.Exists(path)
 }
 
 func usageErr(err error) {

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/icsnju/metamut-go/internal/engine"
+	"github.com/icsnju/metamut-go/internal/durable"
 )
 
 func TestCheckFlags(t *testing.T) {
@@ -72,7 +72,7 @@ func TestCheckpointExists(t *testing.T) {
 		t.Fatal("empty directory holds a checkpoint")
 	}
 	// Build falls back to the rotated generation, so it counts too.
-	if err := os.WriteFile(ckpt+engine.PrevSuffix, []byte("{}"), 0o644); err != nil {
+	if err := os.WriteFile(ckpt+durable.PrevSuffix, []byte("{}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if !checkpointExists(ckpt) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/icsnju/metamut-go/internal/compilersim"
+	"github.com/icsnju/metamut-go/internal/durable"
 	"github.com/icsnju/metamut-go/internal/obs"
 	"github.com/icsnju/metamut-go/internal/seeds"
 )
@@ -220,7 +221,7 @@ func TestResumeFromCorruptCheckpoint(t *testing.T) {
 			if err := ic.Run(ctx); !errors.Is(err, ErrInterrupted) {
 				t.Fatalf("interrupted run returned %v", err)
 			}
-			if _, err := os.Stat(ckpt + PrevSuffix); err != nil {
+			if _, err := os.Stat(ckpt + durable.PrevSuffix); err != nil {
 				t.Fatalf("no rotated generation: %v", err)
 			}
 			corrupt(ckpt)

@@ -3,12 +3,11 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
 	"github.com/icsnju/metamut-go/internal/compilersim"
+	"github.com/icsnju/metamut-go/internal/durable"
 	"github.com/icsnju/metamut-go/internal/obs"
 	"github.com/icsnju/metamut-go/internal/reduce"
 )
@@ -178,28 +177,11 @@ func (r *TriageReport) Render() string {
 	return sb.String()
 }
 
-// WriteJSON writes the report atomically (temp file + rename).
+// WriteJSON writes the report with durable.Write.
 func (r *TriageReport) WriteJSON(path string) error {
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".triage-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return durable.Write(path, append(data, '\n'), false)
 }

@@ -5,12 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"strings"
 	"time"
 
 	"github.com/icsnju/metamut-go/internal/cast"
 	"github.com/icsnju/metamut-go/internal/compilersim"
+	"github.com/icsnju/metamut-go/internal/durable"
 	"github.com/icsnju/metamut-go/internal/engine"
 	"github.com/icsnju/metamut-go/internal/fuzz"
 	"github.com/icsnju/metamut-go/internal/muast"
@@ -152,11 +152,12 @@ func (r *SchedBenchResult) Render() string {
 	return sb.String()
 }
 
-// WriteJSON writes the ablation result (the BENCH_sched.json artifact).
+// WriteJSON writes the ablation result (the BENCH_sched.json artifact)
+// with durable.Write: a killed run leaves no truncated baseline.
 func (r *SchedBenchResult) WriteJSON(path string) error {
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return durable.Write(path, append(data, '\n'), false)
 }

@@ -6,11 +6,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"github.com/icsnju/metamut-go/internal/durable"
 )
 
 // Snapshot is a point-in-time, JSON-serializable view of a registry.
@@ -203,13 +204,13 @@ func equalValues(a, b []string) bool {
 	return true
 }
 
-// WriteJSON writes the snapshot as indented JSON.
+// WriteJSON writes the snapshot as indented JSON with durable.Write.
 func (s *Snapshot) WriteJSON(path string) error {
 	data, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return durable.Write(path, append(data, '\n'), false)
 }
 
 // expvarPublished guards against expvar.Publish's panic on duplicate

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/icsnju/metamut-go/internal/durable"
 	"github.com/icsnju/metamut-go/internal/engine"
 	"github.com/icsnju/metamut-go/internal/flight"
 	"github.com/icsnju/metamut-go/internal/obs"
@@ -114,7 +115,7 @@ func TestBuildResumeRule(t *testing.T) {
 	if err := os.WriteFile(ckpt, []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	os.Remove(ckpt + engine.PrevSuffix)
+	os.Remove(ckpt + durable.PrevSuffix)
 	if _, err := Build(spec, engine.Config{CheckpointPath: ckpt}, nil); err == nil {
 		t.Error("Build started fresh over an unreadable checkpoint")
 	}
