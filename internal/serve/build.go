@@ -99,11 +99,9 @@ func Build(spec JobSpec, ecfg engine.Config, fcfg *flight.Config) (*Campaign, er
 	var snap *engine.Snapshot
 	var from string
 	if ecfg.CheckpointPath != "" {
-		s, used, err := engine.LoadWithFallback(ecfg.CheckpointPath)
-		switch {
-		case err == nil:
-			snap, from = s, used
-		case !errors.Is(err, fs.ErrNotExist):
+		var err error
+		snap, from, err = engine.LoadWithFallback(ecfg.CheckpointPath)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return nil, err
 		}
 	}

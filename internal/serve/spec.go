@@ -20,7 +20,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -151,13 +150,4 @@ func (s *JobSpec) Validate() error {
 		return fmt.Errorf("serve: unknown scheduling policy %q (want uniform or adaptive)", s.Sched)
 	}
 	return nil
-}
-
-// specJSON renders the spec for the per-job spec.json audit copy.
-func specJSON(s JobSpec) ([]byte, error) {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
 }
