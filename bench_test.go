@@ -550,6 +550,65 @@ func TestMutationStepAllocBudget(t *testing.T) {
 	}
 }
 
+// ---------------------------------------------------------------------
+// Front end: lex + parse + check into one reused arena
+// ---------------------------------------------------------------------
+
+// frontEndPool is the benchmark workloads' seed pool at sub-seed 7000.
+func frontEndPool(tb testing.TB) []string {
+	tb.Helper()
+	pool := seeds.Generate(120, 7000)
+	for i, src := range pool {
+		if _, err := cast.ParseAndCheck(src); err != nil {
+			tb.Fatalf("seed %d fails the front end: %v", i, err)
+		}
+	}
+	return pool
+}
+
+// frontEnd lexes, parses and checks src into a, reset first.
+func frontEnd(tb testing.TB, a *cast.Arena, src string) {
+	a.Reset()
+	if _, err := cast.ParseAndCheckArena(src, a); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkFrontEnd times the C front end the fuzzers run several
+// times per step: lex, parse and check of one seed program into one
+// reused arena, cycling over seeds.Generate(120, 7000). It must report
+// 0 allocs/op; TestFrontEndAllocBudget enforces that in bench-gate.
+func BenchmarkFrontEnd(b *testing.B) {
+	pool := frontEndPool(b)
+	a := cast.NewArena()
+	for _, src := range pool { // grow the arena and the pooled buffers
+		frontEnd(b, a, src)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frontEnd(b, a, pool[i%len(pool)])
+	}
+}
+
+// TestFrontEndAllocBudget is the allocation gate for BenchmarkFrontEnd:
+// once the arena is warm, a front-end pass allocates nothing.
+func TestFrontEndAllocBudget(t *testing.T) {
+	pool := frontEndPool(t)
+	a := cast.NewArena()
+	for _, src := range pool {
+		frontEnd(t, a, src)
+	}
+	i := 0
+	avg := testing.AllocsPerRun(2*len(pool), func() {
+		frontEnd(t, a, pool[i%len(pool)])
+		i++
+	})
+	if avg != 0 {
+		t.Fatalf("front end allocates: %.2f allocs/program, budget 0 (see docs/PERFORMANCE.md)", avg)
+	}
+}
+
 func BenchmarkMutatorApplication(b *testing.B) {
 	src := seeds.Generate(10, 3)[7]
 	mus := muast.All()
