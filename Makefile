@@ -58,8 +58,10 @@ race:
 		./internal/serve ./internal/serve/heal
 
 # fuzz-smoke runs each native fuzz target for 10s beyond its seed
-# corpus: the mutant validator, and the checkpoint and ledger decoders
-# that must return a value or an error, never panic, on any bytes. Go
+# corpus: the mutant validator; the checkpoint and ledger decoders
+# that must return a value or an error, never panic, on any bytes; and
+# the front end's lexer and walker, held to their former map- and
+# closure-driven references. Go
 # fuzzes one target per invocation; -parallel 2 keeps it to two
 # worker processes. Minimizing a new input derived from the 42 KB
 # checkpoint seed would otherwise take the whole budget, hence the
@@ -69,6 +71,8 @@ fuzz-smoke:
 	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzMutantValidator$$' ./internal/mutcheck
 	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzCheckpointLoad$$' ./internal/engine
 	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzLedgerLoad$$' ./internal/serve
+	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzLexMatchesReference$$' ./internal/cast
+	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzWalkOrder$$' ./internal/cast
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -95,7 +99,7 @@ bench-smoke:
 # than 10%, or if any tick/edge/crash count drifts (a determinism break
 # outranks any speedup). Opt into it from check with BENCH_GATE=1.
 bench-gate:
-	$(GO) test -run 'TestHotLoopAllocBudget|TestMutationStepAllocBudget' -count=1 .
+	$(GO) test -run 'TestHotLoopAllocBudget|TestMutationStepAllocBudget|TestFrontEndAllocBudget' -count=1 .
 	$(GO) run ./cmd/experiments -run benchgate
 
 maybe-bench-gate:

@@ -1,9 +1,6 @@
 package cast
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // LexError describes a lexical error at a source position.
 type LexError struct {
@@ -41,20 +38,7 @@ func (lx *Lexer) Reset(src string) {
 
 // Lex tokenizes the whole input, returning the token stream terminated by
 // a TokEOF token.
-func Lex(src string) ([]Token, error) {
-	lx := NewLexer(src)
-	var toks []Token
-	for {
-		t, err := lx.Next()
-		if err != nil {
-			return toks, err
-		}
-		toks = append(toks, t)
-		if t.Kind == TokEOF {
-			return toks, nil
-		}
-	}
-}
+func Lex(src string) ([]Token, error) { return lexInto(src, nil) }
 
 func (lx *Lexer) peek() byte {
 	if lx.off >= len(lx.src) {
@@ -166,35 +150,50 @@ func (lx *Lexer) Next() (Token, error) {
 		return Token{}, err
 	}
 	start, line, col := lx.off, lx.line, lx.col
-	mk := func(k TokenKind) Token {
-		return Token{Kind: k, Text: lx.src[start:lx.off], Pos: start,
-			End: lx.off, Line: line, Col: col}
-	}
 	if lx.off >= len(lx.src) {
 		return Token{Kind: TokEOF, Pos: start, End: start, Line: line, Col: col}, nil
 	}
-	c := lx.peek()
-	switch {
+	var k TokenKind
+	var err error
+	switch c := lx.src[lx.off]; {
 	case isIdentStart(c):
-		for lx.off < len(lx.src) && isIdentCont(lx.peek()) {
-			lx.advance()
-		}
-		t := mk(TokIdent)
-		if IsKeyword(t.Text) {
-			t.Kind = TokKeyword
-		}
-		return t, nil
+		k = lx.lexIdent()
 	case isDigit(c) || (c == '.' && isDigit(lx.peekAt(1))):
-		return lx.lexNumber(mk)
+		k = lx.lexNumber()
 	case c == '\'':
-		return lx.lexCharLit(mk)
+		k, err = lx.lexQuoted('\'', TokCharLit, "character")
 	case c == '"':
-		return lx.lexStringLit(mk)
+		k, err = lx.lexQuoted('"', TokStringLit, "string")
+	default:
+		k, err = lx.lexPunct()
 	}
-	return lx.lexPunct(mk)
+	if err != nil {
+		return Token{}, err
+	}
+	return Token{Kind: k, Text: lx.src[start:lx.off], Pos: start,
+		End: lx.off, Line: line, Col: col}, nil
 }
 
-func (lx *Lexer) lexNumber(mk func(TokenKind) Token) (Token, error) {
+// skip consumes n bytes known to hold no newline.
+func (lx *Lexer) skip(n int) {
+	lx.off += n
+	lx.col += n
+}
+
+func (lx *Lexer) lexIdent() TokenKind {
+	end := lx.off + 1
+	for end < len(lx.src) && isIdentCont(lx.src[end]) {
+		end++
+	}
+	text := lx.src[lx.off:end]
+	lx.skip(end - lx.off)
+	if IsKeyword(text) {
+		return TokKeyword
+	}
+	return TokIdent
+}
+
+func (lx *Lexer) lexNumber() TokenKind {
 	isFloat := false
 	if lx.peek() == '0' && (lx.peekAt(1) == 'x' || lx.peekAt(1) == 'X') {
 		lx.advance()
@@ -237,19 +236,27 @@ func (lx *Lexer) lexNumber(mk func(TokenKind) Token) (Token, error) {
 		}
 	}
 	// Suffixes (u, l, f combinations).
-	for lx.off < len(lx.src) && strings.ContainsRune("uUlLfF", rune(lx.peek())) {
-		if lx.peek() == 'f' || lx.peek() == 'F' {
+suffixes:
+	for lx.off < len(lx.src) {
+		switch lx.peek() {
+		case 'f', 'F':
 			isFloat = true
+		case 'u', 'U', 'l', 'L':
+		default:
+			break suffixes
 		}
 		lx.advance()
 	}
 	if isFloat {
-		return mk(TokFloatLit), nil
+		return TokFloatLit
 	}
-	return mk(TokIntLit), nil
+	return TokIntLit
 }
 
-func (lx *Lexer) lexCharLit(mk func(TokenKind) Token) (Token, error) {
+// lexQuoted lexes a character or string literal opened by quote; a
+// backslash escapes the next byte, and a newline or the end of input
+// before the closing quote is an error.
+func (lx *Lexer) lexQuoted(quote byte, k TokenKind, what string) (TokenKind, error) {
 	lx.advance() // opening quote
 	for lx.off < len(lx.src) {
 		c := lx.peek()
@@ -260,82 +267,124 @@ func (lx *Lexer) lexCharLit(mk func(TokenKind) Token) (Token, error) {
 			}
 			continue
 		}
-		if c == '\'' {
+		if c == quote {
 			lx.advance()
-			return mk(TokCharLit), nil
+			return k, nil
 		}
 		if c == '\n' {
 			break
 		}
 		lx.advance()
 	}
-	return Token{}, lx.errorf("unterminated character literal")
+	return 0, lx.errorf("unterminated %s literal", what)
 }
 
-func (lx *Lexer) lexStringLit(mk func(TokenKind) Token) (Token, error) {
-	lx.advance() // opening quote
-	for lx.off < len(lx.src) {
-		c := lx.peek()
-		if c == '\\' {
-			lx.advance()
-			if lx.off < len(lx.src) {
-				lx.advance()
-			}
-			continue
+// lexPunct lexes a punctuator by its first byte, longest match first.
+func (lx *Lexer) lexPunct() (TokenKind, error) {
+	c, c1 := lx.src[lx.off], lx.peekAt(1)
+	k, n := TokEOF, 1
+	switch c {
+	case '(':
+		k = TokLParen
+	case ')':
+		k = TokRParen
+	case '{':
+		k = TokLBrace
+	case '}':
+		k = TokRBrace
+	case '[':
+		k = TokLBracket
+	case ']':
+		k = TokRBracket
+	case ';':
+		k = TokSemi
+	case ',':
+		k = TokComma
+	case ':':
+		k = TokColon
+	case '?':
+		k = TokQuestion
+	case '~':
+		k = TokTilde
+	case '.':
+		if c1 == '.' && lx.peekAt(2) == '.' {
+			k, n = TokEllipsis, 3
+		} else {
+			k = TokDot
 		}
-		if c == '"' {
-			lx.advance()
-			return mk(TokStringLit), nil
+	case '+':
+		switch c1 {
+		case '+':
+			k, n = TokPlusPlus, 2
+		default:
+			k, n = withEq(c1, TokPlusEq, TokPlus)
 		}
-		if c == '\n' {
-			break
+	case '-':
+		switch c1 {
+		case '>':
+			k, n = TokArrow, 2
+		case '-':
+			k, n = TokMinusMinus, 2
+		default:
+			k, n = withEq(c1, TokMinusEq, TokMinus)
 		}
+	case '&':
+		switch c1 {
+		case '&':
+			k, n = TokAmpAmp, 2
+		default:
+			k, n = withEq(c1, TokAmpEq, TokAmp)
+		}
+	case '|':
+		switch c1 {
+		case '|':
+			k, n = TokPipePipe, 2
+		default:
+			k, n = withEq(c1, TokPipeEq, TokPipe)
+		}
+	case '<':
+		switch {
+		case c1 == '<' && lx.peekAt(2) == '=':
+			k, n = TokShlEq, 3
+		case c1 == '<':
+			k, n = TokShl, 2
+		default:
+			k, n = withEq(c1, TokLessEq, TokLess)
+		}
+	case '>':
+		switch {
+		case c1 == '>' && lx.peekAt(2) == '=':
+			k, n = TokShrEq, 3
+		case c1 == '>':
+			k, n = TokShr, 2
+		default:
+			k, n = withEq(c1, TokGreaterEq, TokGreater)
+		}
+	case '*':
+		k, n = withEq(c1, TokStarEq, TokStar)
+	case '/':
+		k, n = withEq(c1, TokSlashEq, TokSlash)
+	case '%':
+		k, n = withEq(c1, TokPercentEq, TokPercent)
+	case '^':
+		k, n = withEq(c1, TokCaretEq, TokCaret)
+	case '!':
+		k, n = withEq(c1, TokNotEq, TokBang)
+	case '=':
+		k, n = withEq(c1, TokEqEq, TokAssign)
+	default:
 		lx.advance()
+		return 0, lx.errorf("unexpected character %q", string(rune(c)))
 	}
-	return Token{}, lx.errorf("unterminated string literal")
+	lx.skip(n)
+	return k, nil
 }
 
-// punct3, punct2, punct1 map spellings to kinds, longest match first.
-var punct3 = map[string]TokenKind{"<<=": TokShlEq, ">>=": TokShrEq, "...": TokEllipsis}
-
-var punct2 = map[string]TokenKind{
-	"->": TokArrow, "++": TokPlusPlus, "--": TokMinusMinus,
-	"<<": TokShl, ">>": TokShr, "<=": TokLessEq, ">=": TokGreaterEq,
-	"==": TokEqEq, "!=": TokNotEq, "&&": TokAmpAmp, "||": TokPipePipe,
-	"+=": TokPlusEq, "-=": TokMinusEq, "*=": TokStarEq, "/=": TokSlashEq,
-	"%=": TokPercentEq, "&=": TokAmpEq, "|=": TokPipeEq, "^=": TokCaretEq,
-}
-
-var punct1 = map[byte]TokenKind{
-	'(': TokLParen, ')': TokRParen, '{': TokLBrace, '}': TokRBrace,
-	'[': TokLBracket, ']': TokRBracket, ';': TokSemi, ',': TokComma,
-	':': TokColon, '?': TokQuestion, '+': TokPlus, '-': TokMinus,
-	'*': TokStar, '/': TokSlash, '%': TokPercent, '&': TokAmp,
-	'|': TokPipe, '^': TokCaret, '~': TokTilde, '!': TokBang,
-	'<': TokLess, '>': TokGreater, '=': TokAssign, '.': TokDot,
-}
-
-func (lx *Lexer) lexPunct(mk func(TokenKind) Token) (Token, error) {
-	if lx.off+3 <= len(lx.src) {
-		if k, ok := punct3[lx.src[lx.off:lx.off+3]]; ok {
-			lx.advance()
-			lx.advance()
-			lx.advance()
-			return mk(k), nil
-		}
+// withEq returns long, two bytes wide, when next is '=', else the
+// one-byte short.
+func withEq(next byte, long, short TokenKind) (TokenKind, int) {
+	if next == '=' {
+		return long, 2
 	}
-	if lx.off+2 <= len(lx.src) {
-		if k, ok := punct2[lx.src[lx.off:lx.off+2]]; ok {
-			lx.advance()
-			lx.advance()
-			return mk(k), nil
-		}
-	}
-	if k, ok := punct1[lx.peek()]; ok {
-		lx.advance()
-		return mk(k), nil
-	}
-	c := lx.peek()
-	lx.advance()
-	return Token{}, lx.errorf("unexpected character %q", string(rune(c)))
+	return short, 1
 }

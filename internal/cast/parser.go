@@ -253,22 +253,24 @@ func (p *Parser) parseTranslationUnit() *TranslationUnit {
 	return tu
 }
 
-// typeSpecKeywords are keywords that can begin declaration specifiers.
-var typeSpecKeywords = map[string]bool{
-	"void": true, "char": true, "short": true, "int": true, "long": true,
-	"float": true, "double": true, "signed": true, "unsigned": true,
-	"_Bool": true, "_Complex": true, "struct": true, "union": true,
-	"enum": true, "const": true, "volatile": true, "restrict": true,
-	"static": true, "extern": true, "typedef": true, "register": true,
-	"auto": true, "inline": true, "__restrict": true, "__inline": true,
-	"__const": true, "__signed__": true, "__extension__": true,
-	"__volatile__": true,
+// isTypeSpecKeyword reports whether the keyword kw can begin
+// declaration specifiers.
+func isTypeSpecKeyword(kw string) bool {
+	switch kw {
+	case "void", "char", "short", "int", "long", "float", "double",
+		"signed", "unsigned", "_Bool", "_Complex", "struct", "union",
+		"enum", "const", "volatile", "restrict", "static", "extern",
+		"typedef", "register", "auto", "inline", "__restrict", "__inline",
+		"__const", "__signed__", "__extension__", "__volatile__":
+		return true
+	}
+	return false
 }
 
 // startsDecl reports whether the current token begins a declaration.
 func (p *Parser) startsDecl() bool {
 	t := p.cur()
-	if t.Kind == TokKeyword && typeSpecKeywords[t.Text] {
+	if t.Kind == TokKeyword && isTypeSpecKeyword(t.Text) {
 		return true
 	}
 	if t.Kind == TokIdent {
@@ -1275,17 +1277,38 @@ func (p *Parser) parseExpr() Expr {
 	return e
 }
 
-var assignOps = map[TokenKind]BinOp{
-	TokAssign: BinAssign, TokPlusEq: BinAddAssign, TokMinusEq: BinSubAssign,
-	TokStarEq: BinMulAssign, TokSlashEq: BinDivAssign,
-	TokPercentEq: BinRemAssign, TokAmpEq: BinAndAssign,
-	TokPipeEq: BinOrAssign, TokCaretEq: BinXorAssign,
-	TokShlEq: BinShlAssign, TokShrEq: BinShrAssign,
+// assignOp maps an assignment token to its operator.
+func assignOp(k TokenKind) (BinOp, bool) {
+	switch k {
+	case TokAssign:
+		return BinAssign, true
+	case TokPlusEq:
+		return BinAddAssign, true
+	case TokMinusEq:
+		return BinSubAssign, true
+	case TokStarEq:
+		return BinMulAssign, true
+	case TokSlashEq:
+		return BinDivAssign, true
+	case TokPercentEq:
+		return BinRemAssign, true
+	case TokAmpEq:
+		return BinAndAssign, true
+	case TokPipeEq:
+		return BinOrAssign, true
+	case TokCaretEq:
+		return BinXorAssign, true
+	case TokShlEq:
+		return BinShlAssign, true
+	case TokShrEq:
+		return BinShrAssign, true
+	}
+	return 0, false
 }
 
 func (p *Parser) parseAssignExpr() Expr {
 	lhs := p.parseConditionalExpr()
-	if op, ok := assignOps[p.cur().Kind]; ok {
+	if op, ok := assignOp(p.cur().Kind); ok {
 		opTok := p.next()
 		rhs := p.parseAssignExpr()
 		bo := p.arena.binaryOps.get()
@@ -1313,13 +1336,13 @@ func (p *Parser) parseConditionalExpr() Expr {
 }
 
 // binPrec maps token kinds to (binary operator, precedence); higher binds
-// tighter.
+// tighter, and precedence 0 marks a token that is no binary operator.
 type binPrecEntry struct {
 	op   BinOp
 	prec int
 }
 
-var binPrec = map[TokenKind]binPrecEntry{
+var binPrec = [...]binPrecEntry{
 	TokStar: {BinMul, 10}, TokSlash: {BinDiv, 10}, TokPercent: {BinRem, 10},
 	TokPlus: {BinAdd, 9}, TokMinus: {BinSub, 9},
 	TokShl: {BinShl, 8}, TokShr: {BinShr, 8},
@@ -1333,8 +1356,11 @@ var binPrec = map[TokenKind]binPrecEntry{
 func (p *Parser) parseBinaryExpr(minPrec int) Expr {
 	lhs := p.parseCastExpr()
 	for {
-		ent, ok := binPrec[p.cur().Kind]
-		if !ok || ent.prec < minPrec {
+		var ent binPrecEntry
+		if k := p.cur().Kind; int(k) < len(binPrec) {
+			ent = binPrec[k]
+		}
+		if ent.prec == 0 || ent.prec < minPrec {
 			return lhs
 		}
 		opTok := p.next()
@@ -1350,7 +1376,7 @@ func (p *Parser) parseBinaryExpr(minPrec int) Expr {
 // startsTypeName reports whether the token after a '(' begins a type name.
 func (p *Parser) startsTypeNameAt(n int) bool {
 	t := p.peek(n)
-	if t.Kind == TokKeyword && typeSpecKeywords[t.Text] &&
+	if t.Kind == TokKeyword && isTypeSpecKeyword(t.Text) &&
 		t.Text != "static" && t.Text != "extern" && t.Text != "typedef" &&
 		t.Text != "register" && t.Text != "auto" {
 		return true
@@ -1394,9 +1420,24 @@ func (p *Parser) parseTypeName() QualType {
 	return ty
 }
 
-var unaryOps = map[TokenKind]UnOp{
-	TokPlus: UnPlus, TokMinus: UnMinus, TokTilde: UnNot, TokBang: UnLNot,
-	TokStar: UnDeref, TokAmp: UnAddr,
+// unaryOp maps a prefix operator token (other than ++ and --) to its
+// operator.
+func unaryOp(k TokenKind) (UnOp, bool) {
+	switch k {
+	case TokPlus:
+		return UnPlus, true
+	case TokMinus:
+		return UnMinus, true
+	case TokTilde:
+		return UnNot, true
+	case TokBang:
+		return UnLNot, true
+	case TokStar:
+		return UnDeref, true
+	case TokAmp:
+		return UnAddr, true
+	}
+	return 0, false
 }
 
 func (p *Parser) parseUnaryExpr() Expr {
@@ -1427,7 +1468,7 @@ func (p *Parser) parseUnaryExpr() Expr {
 		se.SetRange(t.Pos, se.X.Range().End)
 		return se
 	default:
-		if op, ok := unaryOps[t.Kind]; ok {
+		if op, ok := unaryOp(t.Kind); ok {
 			p.advance()
 			x := p.parseCastExpr()
 			ue := p.arena.unaryOps.get()

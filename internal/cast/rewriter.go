@@ -33,9 +33,6 @@ func (rw *Rewriter) Source() string { return rw.src }
 // HasEdits reports whether any edit has been recorded.
 func (rw *Rewriter) HasEdits() bool { return len(rw.edits) > 0 }
 
-// EditCount returns the number of recorded edits.
-func (rw *Rewriter) EditCount() int { return len(rw.edits) }
-
 func (rw *Rewriter) validRange(begin, end int) bool {
 	return begin >= 0 && begin <= end && end <= len(rw.src)
 }

@@ -71,7 +71,7 @@ const (
 	TokShrEq      // >>=
 )
 
-var tokenNames = map[TokenKind]string{
+var tokenNames = [...]string{
 	TokEOF: "EOF", TokIdent: "identifier", TokKeyword: "keyword",
 	TokIntLit: "integer literal", TokFloatLit: "float literal",
 	TokCharLit: "char literal", TokStringLit: "string literal",
@@ -91,8 +91,8 @@ var tokenNames = map[TokenKind]string{
 
 // String returns a human-readable name for the token kind.
 func (k TokenKind) String() string {
-	if s, ok := tokenNames[k]; ok {
-		return s
+	if k >= 0 && int(k) < len(tokenNames) {
+		return tokenNames[k]
 	}
 	return fmt.Sprintf("TokenKind(%d)", int(k))
 }
@@ -112,22 +112,20 @@ func (t Token) Is(kw string) bool {
 	return t.Kind == TokKeyword && t.Text == kw
 }
 
-// keywords recognized by the lexer. GNU-style extension spellings that
-// appear in compiler test suites are included so seeds lex cleanly.
-var keywords = map[string]bool{
-	"auto": true, "break": true, "case": true, "char": true,
-	"const": true, "continue": true, "default": true, "do": true,
-	"double": true, "else": true, "enum": true, "extern": true,
-	"float": true, "for": true, "goto": true, "if": true,
-	"inline": true, "int": true, "long": true, "register": true,
-	"restrict": true, "return": true, "short": true, "signed": true,
-	"sizeof": true, "static": true, "struct": true, "switch": true,
-	"typedef": true, "union": true, "unsigned": true, "void": true,
-	"volatile": true, "while": true,
-	"_Bool": true, "_Complex": true, "_Imaginary": true,
-	"__restrict": true, "__inline": true, "__volatile__": true,
-	"__const": true, "__signed__": true, "__extension__": true,
-}
-
 // IsKeyword reports whether s is a reserved word of the supported C subset.
-func IsKeyword(s string) bool { return keywords[s] }
+// GNU-style extension spellings that appear in compiler test suites are
+// included so seeds lex cleanly.
+func IsKeyword(s string) bool {
+	switch s {
+	case "auto", "break", "case", "char", "const", "continue", "default",
+		"do", "double", "else", "enum", "extern", "float", "for", "goto",
+		"if", "inline", "int", "long", "register", "restrict", "return",
+		"short", "signed", "sizeof", "static", "struct", "switch",
+		"typedef", "union", "unsigned", "void", "volatile", "while",
+		"_Bool", "_Complex", "_Imaginary",
+		"__restrict", "__inline", "__volatile__", "__const", "__signed__",
+		"__extension__":
+		return true
+	}
+	return false
+}

@@ -5,16 +5,14 @@ package cast
 type Visitor func(n Node) bool
 
 // Walk traverses the AST rooted at n in source order, calling v for every
-// node (pre-order). Traversal allocates nothing: children are visited via
-// eachChild's type switch instead of materializing a slice per node.
+// node (pre-order). Traversal allocates nothing and recurses without a
+// per-node closure; walker.children holds the one child order.
 func Walk(n Node, v Visitor) {
 	if n == nil || isNilNode(n) {
 		return
 	}
-	if !v(n) {
-		return
-	}
-	eachChild(n, func(c Node) { Walk(c, v) })
+	w := walker{visit: v}
+	w.node(nil, n)
 }
 
 // isNilNode guards against typed-nil interface values.
@@ -108,143 +106,152 @@ func isNilNode(n Node) bool {
 	return false
 }
 
-// eachChild calls f for each direct AST child of n, in source order,
-// skipping nil (including typed-nil) children. This is the single source
-// of truth for child order; Walk, Children and the parent-map builders
-// all delegate to it. f must not be retained (callers pass stack-scoped
-// closures so the traversal stays allocation-free).
-func eachChild(n Node, f func(Node)) {
-	emit := func(c Node) {
-		if c != nil && !isNilNode(c) {
-			f(c)
-		}
+// walker is the package's one AST traversal: Walk drives it with a
+// visitor, BuildParentMapInto with a parent map.
+type walker struct {
+	visit   Visitor   // called pre-order when set; false prunes
+	parents ParentMap // records every node's parent when set
+}
+
+// node handles one non-nil node reached from parent.
+func (w *walker) node(parent, n Node) {
+	if w.parents != nil {
+		w.parents[n] = parent
 	}
+	if w.visit == nil || w.visit(n) {
+		w.children(n)
+	}
+}
+
+// child handles an interface-typed child, skipping nil and typed nil.
+// Pointer-typed children are nil-checked where they are read.
+func (w *walker) child(parent, c Node) {
+	if c != nil && !isNilNode(c) {
+		w.node(parent, c)
+	}
+}
+
+// children hands each direct AST child of n, in source order, to node.
+// This is the single source of truth for child order.
+func (w *walker) children(n Node) {
 	switch x := n.(type) {
 	case *TranslationUnit:
 		for _, d := range x.Decls {
-			emit(d)
+			w.child(n, d)
 		}
 	case *FunctionDecl:
 		for _, pv := range x.Params {
-			emit(pv)
+			if pv != nil {
+				w.node(n, pv)
+			}
 		}
 		if x.Body != nil {
-			emit(x.Body)
+			w.node(n, x.Body)
 		}
 	case *VarDecl:
-		if x.Init != nil {
-			emit(x.Init)
-		}
+		w.child(n, x.Init)
 	case *RecordDecl:
 		for _, fd := range x.Fields {
-			emit(fd)
+			if fd != nil {
+				w.node(n, fd)
+			}
 		}
 	case *EnumDecl:
 		for _, c := range x.Constants {
-			emit(c)
+			if c != nil {
+				w.node(n, c)
+			}
 		}
 	case *EnumConstantDecl:
-		if x.Value != nil {
-			emit(x.Value)
-		}
+		w.child(n, x.Value)
 	case *CompoundStmt:
 		for _, s := range x.Stmts {
-			emit(s)
+			w.child(n, s)
 		}
 	case *DeclStmt:
 		for _, d := range x.Decls {
-			emit(d)
+			w.child(n, d)
 		}
 	case *ExprStmt:
-		emit(x.X)
+		w.child(n, x.X)
 	case *IfStmt:
-		emit(x.Cond)
-		emit(x.Then)
-		if x.Else != nil {
-			emit(x.Else)
-		}
+		w.child(n, x.Cond)
+		w.child(n, x.Then)
+		w.child(n, x.Else)
 	case *WhileStmt:
-		emit(x.Cond)
-		emit(x.Body)
+		w.child(n, x.Cond)
+		w.child(n, x.Body)
 	case *DoStmt:
-		emit(x.Body)
-		emit(x.Cond)
+		w.child(n, x.Body)
+		w.child(n, x.Cond)
 	case *ForStmt:
-		if x.Init != nil {
-			emit(x.Init)
-		}
-		if x.Cond != nil {
-			emit(x.Cond)
-		}
-		if x.Post != nil {
-			emit(x.Post)
-		}
-		emit(x.Body)
+		w.child(n, x.Init)
+		w.child(n, x.Cond)
+		w.child(n, x.Post)
+		w.child(n, x.Body)
 	case *SwitchStmt:
-		emit(x.Cond)
-		emit(x.Body)
+		w.child(n, x.Cond)
+		w.child(n, x.Body)
 	case *CaseStmt:
-		emit(x.Value)
-		if x.Body != nil {
-			emit(x.Body)
-		}
+		w.child(n, x.Value)
+		w.child(n, x.Body)
 	case *DefaultStmt:
-		if x.Body != nil {
-			emit(x.Body)
-		}
+		w.child(n, x.Body)
 	case *ReturnStmt:
-		if x.Value != nil {
-			emit(x.Value)
-		}
+		w.child(n, x.Value)
 	case *LabelStmt:
-		if x.Body != nil {
-			emit(x.Body)
-		}
+		w.child(n, x.Body)
 	case *BinaryOperator:
-		emit(x.LHS)
-		emit(x.RHS)
+		w.child(n, x.LHS)
+		w.child(n, x.RHS)
 	case *UnaryOperator:
-		emit(x.X)
+		w.child(n, x.X)
 	case *CallExpr:
-		emit(x.Fn)
+		w.child(n, x.Fn)
 		for _, a := range x.Args {
-			emit(a)
+			w.child(n, a)
 		}
 	case *ArraySubscriptExpr:
-		emit(x.Base)
-		emit(x.Index)
+		w.child(n, x.Base)
+		w.child(n, x.Index)
 	case *MemberExpr:
-		emit(x.Base)
+		w.child(n, x.Base)
 	case *CastExpr:
-		emit(x.X)
+		w.child(n, x.X)
 	case *ConditionalExpr:
-		emit(x.Cond)
-		emit(x.Then)
-		emit(x.Else)
+		w.child(n, x.Cond)
+		w.child(n, x.Then)
+		w.child(n, x.Else)
 	case *ParenExpr:
-		emit(x.X)
+		w.child(n, x.X)
 	case *SizeofExpr:
-		if x.X != nil {
-			emit(x.X)
-		}
+		w.child(n, x.X)
 	case *InitListExpr:
 		for _, e := range x.Inits {
-			emit(e)
+			w.child(n, e)
 		}
 	case *CompoundLiteralExpr:
-		emit(x.Init)
+		if x.Init != nil {
+			w.node(n, x.Init)
+		}
 	case *CommaExpr:
-		emit(x.LHS)
-		emit(x.RHS)
+		w.child(n, x.LHS)
+		w.child(n, x.RHS)
 	}
 }
 
 // Children returns a node's direct AST children in source order. Nil
-// children are omitted. Hot paths should prefer eachChild/Walk, which do
-// not allocate the slice.
+// children are omitted. Hot paths should prefer Walk, which does not
+// allocate the slice.
 func Children(n Node) []Node {
 	var out []Node
-	eachChild(n, func(c Node) { out = append(out, c) })
+	Walk(n, func(c Node) bool {
+		if c == n {
+			return true
+		}
+		out = append(out, c)
+		return false
+	})
 	return out
 }
 
@@ -268,13 +275,8 @@ func CountNodes(root Node) int {
 	return n
 }
 
-// ParentMap maps each node to its parent, built with BuildParentMap.
+// ParentMap maps each node to its parent, built with BuildParentMapInto.
 type ParentMap map[Node]Node
-
-// BuildParentMap computes the parent of every node under root.
-func BuildParentMap(root Node) ParentMap {
-	return BuildParentMapInto(nil, root)
-}
 
 // BuildParentMapInto fills pm (allocating it when nil) with the parent of
 // every node under root and returns it. Hot loops pass a cleared map to
@@ -283,15 +285,9 @@ func BuildParentMapInto(pm ParentMap, root Node) ParentMap {
 	if pm == nil {
 		pm = ParentMap{}
 	}
-	buildParents(pm, root)
+	w := walker{parents: pm}
+	w.children(root)
 	return pm
-}
-
-func buildParents(pm ParentMap, n Node) {
-	eachChild(n, func(c Node) {
-		pm[c] = n
-		buildParents(pm, c)
-	})
 }
 
 // EnclosingFunction returns the FunctionDecl that lexically contains n, or
@@ -300,28 +296,6 @@ func (pm ParentMap) EnclosingFunction(n Node) *FunctionDecl {
 	for cur := pm[n]; cur != nil; cur = pm[cur] {
 		if fd, ok := cur.(*FunctionDecl); ok {
 			return fd
-		}
-	}
-	return nil
-}
-
-// EnclosingStmt returns the nearest enclosing statement of n (or n itself
-// if it is a statement).
-func (pm ParentMap) EnclosingStmt(n Node) Stmt {
-	for cur := n; cur != nil; cur = pm[cur] {
-		if s, ok := cur.(Stmt); ok {
-			return s
-		}
-	}
-	return nil
-}
-
-// EnclosingLoop returns the nearest enclosing loop statement of n, or nil.
-func (pm ParentMap) EnclosingLoop(n Node) Stmt {
-	for cur := pm[n]; cur != nil; cur = pm[cur] {
-		switch cur.(type) {
-		case *WhileStmt, *DoStmt, *ForStmt:
-			return cur.(Stmt)
 		}
 	}
 	return nil
