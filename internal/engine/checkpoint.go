@@ -374,6 +374,21 @@ func LoadWithFallback(path string) (snap *Snapshot, from string, err error) {
 // state fail fast with ErrLocked instead of corrupting it. The lock is
 // released when the campaign completes or fails, or via Unlock.
 func Resume(path string, cfg Config, factory Factory) (*Campaign, error) {
+	return resume(path, nil, "", cfg, factory)
+}
+
+// ResumeSnapshot is Resume over a snapshot the caller already loaded
+// from path with LoadWithFallback, or with durable.Read and
+// DecodeSnapshot; from is the file it came from. It takes the same
+// locks but reads no file, so a caller that needs the snapshot first
+// (the daemon repairs a job's journal from it) decodes it once, and
+// the campaign resumes from exactly the state that caller saw.
+func ResumeSnapshot(path string, snap *Snapshot, from string, cfg Config, factory Factory) (*Campaign, error) {
+	return resume(path, snap, from, cfg, factory)
+}
+
+// resume loads the snapshot after taking the locks when snap is nil.
+func resume(path string, snap *Snapshot, from string, cfg Config, factory Factory) (*Campaign, error) {
 	guard := &Campaign{}
 	guard.acquireLocks(path, cfg.CheckpointPath)
 	if guard.lockErr != nil {
@@ -385,11 +400,13 @@ func Resume(path string, cfg Config, factory Factory) (*Campaign, error) {
 			guard.Unlock()
 		}
 	}()
-	snap, usedPath, err := LoadWithFallback(path)
-	if err != nil {
-		return nil, err
+	if snap == nil {
+		var err error
+		if snap, from, err = LoadWithFallback(path); err != nil {
+			return nil, err
+		}
 	}
-	if usedPath != path {
+	if from != path {
 		cfg.Registry.Counter("engine_checkpoint_fallbacks_total").With().Inc()
 	}
 	if cfg.Seed != 0 && cfg.Seed != snap.Seed {

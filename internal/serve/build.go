@@ -95,7 +95,6 @@ type Campaign struct {
 // No checkpoint file means a fresh start; one that exists but cannot be
 // loaded is an error.
 func Build(spec JobSpec, ecfg engine.Config, fcfg *flight.Config) (*Campaign, error) {
-	spec.Normalize()
 	var snap *engine.Snapshot
 	var from string
 	if ecfg.CheckpointPath != "" {
@@ -105,6 +104,15 @@ func Build(spec JobSpec, ecfg engine.Config, fcfg *flight.Config) (*Campaign, er
 			return nil, err
 		}
 	}
+	return build(spec, ecfg, fcfg, snap, from)
+}
+
+// build is Build over the checkpoint its caller already loaded from
+// ecfg.CheckpointPath (snap, read from the file from), or a fresh start
+// when snap is nil. It reads no checkpoint file, so the daemon, which
+// decodes a job's checkpoint to repair its journal, decodes it once.
+func build(spec JobSpec, ecfg engine.Config, fcfg *flight.Config, snap *engine.Snapshot, from string) (*Campaign, error) {
+	spec.Normalize()
 	streamSeed := ecfg.Seed
 	if streamSeed == 0 {
 		streamSeed = spec.Seed
@@ -165,7 +173,7 @@ func Build(spec JobSpec, ecfg engine.Config, fcfg *flight.Config) (*Campaign, er
 		return c, nil
 	}
 	var err error
-	c.Campaign, err = engine.Resume(ecfg.CheckpointPath, ecfg, factory)
+	c.Campaign, err = engine.ResumeSnapshot(ecfg.CheckpointPath, snap, from, ecfg, factory)
 	if err != nil {
 		return nil, err
 	}

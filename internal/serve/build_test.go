@@ -120,3 +120,64 @@ func TestBuildResumeRule(t *testing.T) {
 		t.Error("Build started fresh over an unreadable checkpoint")
 	}
 }
+
+// TestResumedJobDecodesCheckpointOnce covers the daemon's admission
+// path: buildRuntime decodes a job's checkpoint once, repairs the
+// journal against it and hands the snapshot to build, which must read
+// no checkpoint file. With garbage on disk in place of both
+// generations, build still resumes from the handed snapshot and
+// finishes with the same checkpoint bytes as an uninterrupted run.
+func TestResumedJobDecodesCheckpointOnce(t *testing.T) {
+	spec := testSpec("t", 5, 64)
+	whole := filepath.Join(t.TempDir(), "c.json")
+	c, err := Build(spec, engine.Config{CheckpointPath: whole}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	ckpt := filepath.Join(t.TempDir(), "c.json")
+	c, err = Build(spec, engine.Config{CheckpointPath: ckpt}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunSlice(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	c.Unlock()
+	snap, from, err := engine.LoadWithFallback(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{ckpt, ckpt + durable.PrevSuffix} {
+		if err := os.WriteFile(p, []byte("{torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := build(spec, engine.Config{CheckpointPath: ckpt}, nil, snap, from)
+	if err != nil {
+		t.Fatalf("build re-read the checkpoint it was handed: %v", err)
+	}
+	if r.Done() != snap.Done || r.From != from {
+		t.Fatalf("resumed at step %d from %q, want %d from %q", r.Done(), r.From, snap.Done, from)
+	}
+	if err := r.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Error("the resumed campaign's final checkpoint differs from an uninterrupted run's")
+	}
+}

@@ -250,7 +250,7 @@ func (d *Daemon) buildRuntime(rec *JobRecord) (*job, error) {
 	ckptPath := filepath.Join(dir, CheckpointFile)
 	journalPath := filepath.Join(dir, JournalFile)
 	var snap *engine.Snapshot
-	ckpt, _, err := durable.Read(ckptPath, func(data []byte) (err error) {
+	ckpt, from, err := durable.Read(ckptPath, func(data []byte) (err error) {
 		snap, err = engine.DecodeSnapshot(data)
 		return err
 	})
@@ -260,6 +260,7 @@ func (d *Daemon) buildRuntime(rec *JobRecord) (*job, error) {
 			return nil, fmt.Errorf("serve: job %s journal repair: %w", rec.ID, err)
 		}
 	} else {
+		snap = nil
 		if !errors.Is(err, fs.ErrNotExist) {
 			d.cfg.Logf("serve: job %s checkpoint unreadable (%v); restarting from scratch", rec.ID, err)
 			if err := durable.Remove(ckptPath); err != nil {
@@ -296,14 +297,16 @@ func (d *Daemon) buildRuntime(rec *JobRecord) (*job, error) {
 	if d.cfg.Chaos != nil {
 		ecfg.CheckpointTransform = d.cfg.Chaos.CheckpointTransform
 	}
-	camp, err := Build(rec.Spec, ecfg, &flight.Config{
+	// The campaign resumes from the snapshot the journal was just
+	// repaired against; the checkpoint is decoded once per admission.
+	camp, err := build(rec.Spec, ecfg, &flight.Config{
 		Journal: gate,
 		OnAnomaly: func(ev flight.Event) {
 			if kind, _ := ev.Data["watchdog"].(string); kind != "" {
 				anoms[kind]++
 			}
 		},
-	})
+	}, snap, from)
 	if err == nil {
 		// New defers a lock failure to the first RunSlice; a daemon must
 		// reject the job at admission instead.
