@@ -290,17 +290,34 @@ func TestPinnedMacroGCC(t *testing.T) {
 	comparePins(t, "macro_gcc", got)
 }
 
+// pinMicroCycle is the number of sub-seeds in one repobench
+// micro_clang cycle (run.py's CAMPAIGN_SUBSEEDS), counted from
+// pinSubSeeds[0].
+const pinMicroCycle = 24
+
 // TestPinnedMicroClang pins the micro_clang workload's outputs every
-// 100 ticks. The stream compiles at -O2 only, so its crashes must
-// reproduce there.
+// 100 ticks at the four pinned sub-seeds, and runs the benchmark's
+// output checks over a whole cycle of sub-seeds. The stream compiles at
+// -O2 only, so its crashes must reproduce there.
 func TestPinnedMicroClang(t *testing.T) {
-	fresh := compilersim.New("clang", 18)
 	opts := []compilersim.Options{compilersim.DefaultOptions()}
+	lines := make([][]string, len(pinSubSeeds))
+	t.Run("cycle", func(t *testing.T) {
+		for i := 0; i < pinMicroCycle; i++ {
+			seed := pinSubSeeds[0] + int64(i)
+			t.Run(fmt.Sprint(seed), func(t *testing.T) {
+				t.Parallel()
+				got, streams := pinMicro(t, seed)
+				if i < len(lines) {
+					lines[i] = got
+				}
+				checkPinnedOutputs(t, seed, compilersim.New("clang", 18), opts, streams)
+			})
+		}
+	})
 	var got []string
-	for _, seed := range pinSubSeeds {
-		lines, streams := pinMicro(t, seed)
-		got = append(got, lines...)
-		checkPinnedOutputs(t, seed, fresh, opts, streams)
+	for _, l := range lines {
+		got = append(got, l...)
 	}
 	comparePins(t, "micro_clang", got)
 }
