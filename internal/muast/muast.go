@@ -225,55 +225,44 @@ func (m *Manager) GlobalVars() []*cast.VarDecl {
 	return out
 }
 
-// LocalVars returns all block-scope variable declarations under fn (or
-// everywhere when fn is nil).
-func (m *Manager) LocalVars(fn *cast.FunctionDecl) []*cast.VarDecl {
-	var root cast.Node = m.TU
-	if fn != nil {
-		root = fn
+// Find returns, in cast.Walk order, every node of type T under root
+// (the whole unit when root is nil) that satisfies pred; a nil pred
+// selects all. It is the one candidate query: the typed queries below
+// and the mutators' collection steps are all written on it.
+func Find[T cast.Node](m *Manager, root cast.Node, pred func(T) bool) []T {
+	if root == nil {
+		root = m.TU
 	}
-	var out []*cast.VarDecl
+	var out []T
 	cast.Walk(root, func(n cast.Node) bool {
-		if vd, ok := n.(*cast.VarDecl); ok && !vd.IsGlobal {
-			out = append(out, vd)
+		if x, ok := n.(T); ok && (pred == nil || pred(x)) {
+			out = append(out, x)
 		}
 		return true
 	})
 	m.charge(1 + len(out))
 	return out
+}
+
+// LocalVars returns all block-scope variable declarations under fn (or
+// everywhere when fn is nil).
+func (m *Manager) LocalVars(fn *cast.FunctionDecl) []*cast.VarDecl {
+	var root cast.Node
+	if fn != nil {
+		root = fn
+	}
+	return Find(m, root, func(vd *cast.VarDecl) bool { return !vd.IsGlobal })
 }
 
 // Exprs returns every expression node under root (the whole unit when
 // root is nil) that satisfies pred; a nil pred selects all.
 func (m *Manager) Exprs(root cast.Node, pred func(cast.Expr) bool) []cast.Expr {
-	if root == nil {
-		root = m.TU
-	}
-	var out []cast.Expr
-	cast.Walk(root, func(n cast.Node) bool {
-		if e, ok := n.(cast.Expr); ok && (pred == nil || pred(e)) {
-			out = append(out, e)
-		}
-		return true
-	})
-	m.charge(1 + len(out))
-	return out
+	return Find(m, root, pred)
 }
 
 // Stmts returns every statement node under root satisfying pred.
 func (m *Manager) Stmts(root cast.Node, pred func(cast.Stmt) bool) []cast.Stmt {
-	if root == nil {
-		root = m.TU
-	}
-	var out []cast.Stmt
-	cast.Walk(root, func(n cast.Node) bool {
-		if s, ok := n.(cast.Stmt); ok && (pred == nil || pred(s)) {
-			out = append(out, s)
-		}
-		return true
-	})
-	m.charge(1 + len(out))
-	return out
+	return Find(m, root, pred)
 }
 
 // Parents lazily computes and caches the parent map.
@@ -287,43 +276,19 @@ func (m *Manager) Parents() cast.ParentMap {
 
 // ReturnsOf returns all return statements lexically inside fn.
 func (m *Manager) ReturnsOf(fn *cast.FunctionDecl) []*cast.ReturnStmt {
-	var out []*cast.ReturnStmt
-	cast.Walk(fn, func(n cast.Node) bool {
-		if rs, ok := n.(*cast.ReturnStmt); ok {
-			out = append(out, rs)
-		}
-		return true
-	})
-	m.charge(1 + len(out))
-	return out
+	return Find[*cast.ReturnStmt](m, fn, nil)
 }
 
 // CallsTo returns all calls that resolve to fn anywhere in the unit.
 func (m *Manager) CallsTo(fn *cast.FunctionDecl) []*cast.CallExpr {
-	var out []*cast.CallExpr
-	cast.Walk(m.TU, func(n cast.Node) bool {
-		if ce, ok := n.(*cast.CallExpr); ok {
-			if ce.Callee != nil && ce.Callee.Name == fn.Name {
-				out = append(out, ce)
-			}
-		}
-		return true
+	return Find(m, nil, func(ce *cast.CallExpr) bool {
+		return ce.Callee != nil && ce.Callee.Name == fn.Name
 	})
-	m.charge(1 + len(out))
-	return out
 }
 
 // UsesOf returns all references to the given declaration.
 func (m *Manager) UsesOf(d cast.Decl) []*cast.DeclRefExpr {
-	var out []*cast.DeclRefExpr
-	cast.Walk(m.TU, func(n cast.Node) bool {
-		if dr, ok := n.(*cast.DeclRefExpr); ok && dr.Ref == d {
-			out = append(out, dr)
-		}
-		return true
-	})
-	m.charge(1 + len(out))
-	return out
+	return Find(m, nil, func(dr *cast.DeclRefExpr) bool { return dr.Ref == d })
 }
 
 // ---------------------------------------------------------------------

@@ -263,15 +263,7 @@ func replaceIntegerLiteralWithBoundary(m *muast.Manager) bool {
 }
 
 func modifyFloatLiteral(m *muast.Manager) bool {
-	var lits []*cast.FloatingLiteral
-	for _, fn := range m.Functions() {
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			if fl, ok := n.(*cast.FloatingLiteral); ok {
-				lits = append(lits, fl)
-			}
-			return true
-		})
-	}
+	lits := inBodies[*cast.FloatingLiteral](m, nil)
 	if len(lits) == 0 {
 		return false
 	}
@@ -296,7 +288,7 @@ func compatibleBinOps(op cast.BinOp) []cast.BinOp {
 }
 
 func changeBinaryOperator(m *muast.Manager) bool {
-	ops := binaryOps(m, func(bo *cast.BinaryOperator) bool {
+	ops := inBodies(m, func(bo *cast.BinaryOperator) bool {
 		return !bo.Op.IsAssignment() && len(compatibleBinOps(bo.Op)) > 1
 	})
 	if len(ops) == 0 {
@@ -319,7 +311,7 @@ func changeBinaryOperator(m *muast.Manager) bool {
 }
 
 func swapBinaryOperands(m *muast.Manager) bool {
-	ops := binaryOps(m, func(bo *cast.BinaryOperator) bool {
+	ops := inBodies(m, func(bo *cast.BinaryOperator) bool {
 		return !bo.Op.IsAssignment() &&
 			m.IsSideEffectFree(bo.LHS) && m.IsSideEffectFree(bo.RHS) &&
 			cast.CheckBinopTypes(bo.Op, bo.RHS.Type(), bo.LHS.Type())
@@ -333,17 +325,9 @@ func swapBinaryOperands(m *muast.Manager) bool {
 }
 
 func inverseUnaryOperator(m *muast.Manager) bool {
-	var cands []*cast.UnaryOperator
-	for _, fn := range m.Functions() {
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			if uo, ok := n.(*cast.UnaryOperator); ok {
-				if uo.Op == cast.UnMinus || uo.Op == cast.UnLNot {
-					cands = append(cands, uo)
-				}
-			}
-			return true
-		})
-	}
+	cands := inBodies(m, func(uo *cast.UnaryOperator) bool {
+		return uo.Op == cast.UnMinus || uo.Op == cast.UnLNot
+	})
 	if len(cands) == 0 {
 		return false
 	}
@@ -358,20 +342,13 @@ func inverseUnaryOperator(m *muast.Manager) bool {
 }
 
 func changeUnaryOperator(m *muast.Manager) bool {
-	var cands []*cast.UnaryOperator
-	for _, fn := range m.Functions() {
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			if uo, ok := n.(*cast.UnaryOperator); ok {
-				switch uo.Op {
-				case cast.UnMinus, cast.UnNot, cast.UnLNot:
-					if uo.X.Type().IsInteger() {
-						cands = append(cands, uo)
-					}
-				}
-			}
-			return true
-		})
-	}
+	cands := inBodies(m, func(uo *cast.UnaryOperator) bool {
+		switch uo.Op {
+		case cast.UnMinus, cast.UnNot, cast.UnLNot:
+			return uo.X.Type().IsInteger()
+		}
+		return false
+	})
 	if len(cands) == 0 {
 		return false
 	}
@@ -388,24 +365,26 @@ func changeUnaryOperator(m *muast.Manager) bool {
 // conditions returns the scalar condition expressions of ifs and loops.
 func conditions(m *muast.Manager) []cast.Expr {
 	var out []cast.Expr
-	for _, fn := range m.Functions() {
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			switch s := n.(type) {
-			case *cast.IfStmt:
-				out = append(out, s.Cond)
-			case *cast.WhileStmt:
-				out = append(out, s.Cond)
-			case *cast.DoStmt:
-				out = append(out, s.Cond)
-			case *cast.ForStmt:
-				if s.Cond != nil {
-					out = append(out, s.Cond)
-				}
-			}
-			return true
-		})
+	for _, s := range inBodies(m, func(s cast.Stmt) bool { return condOf(s) != nil }) {
+		out = append(out, condOf(s))
 	}
 	return out
+}
+
+// condOf returns the condition of an if or loop statement; nil for any
+// other statement and for a for loop without one.
+func condOf(s cast.Stmt) cast.Expr {
+	switch s := s.(type) {
+	case *cast.IfStmt:
+		return s.Cond
+	case *cast.WhileStmt:
+		return s.Cond
+	case *cast.DoStmt:
+		return s.Cond
+	case *cast.ForStmt:
+		return s.Cond
+	}
+	return nil
 }
 
 func duplicateConditionWithAnd(m *muast.Manager) bool {
@@ -424,7 +403,7 @@ func duplicateConditionWithAnd(m *muast.Manager) bool {
 }
 
 func expandCompoundAssignment(m *muast.Manager) bool {
-	ops := binaryOps(m, func(bo *cast.BinaryOperator) bool {
+	ops := inBodies(m, func(bo *cast.BinaryOperator) bool {
 		return bo.Op.IsAssignment() && bo.Op != cast.BinAssign &&
 			m.IsSideEffectFree(bo.LHS)
 	})
@@ -439,7 +418,7 @@ func expandCompoundAssignment(m *muast.Manager) bool {
 }
 
 func contractToCompoundAssignment(m *muast.Manager) bool {
-	ops := binaryOps(m, func(bo *cast.BinaryOperator) bool {
+	ops := inBodies(m, func(bo *cast.BinaryOperator) bool {
 		if bo.Op != cast.BinAssign {
 			return false
 		}
@@ -476,7 +455,7 @@ func addIdentityOperation(m *muast.Manager) bool {
 }
 
 func applyDeMorgan(m *muast.Manager) bool {
-	ops := binaryOps(m, func(bo *cast.BinaryOperator) bool {
+	ops := inBodies(m, func(bo *cast.BinaryOperator) bool {
 		return bo.Op.IsLogical()
 	})
 	if len(ops) == 0 {
@@ -540,24 +519,16 @@ func copyExpr(m *muast.Manager) bool {
 }
 
 func replaceCallWithConstant(m *muast.Manager) bool {
-	var cands []*cast.CallExpr
 	pm := m.Parents()
-	for _, fn := range m.Functions() {
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			if ce, ok := n.(*cast.CallExpr); ok {
-				t := ce.Type()
-				if !t.IsNil() && !t.IsVoid() && simpleScalar(t) {
-					cands = append(cands, ce)
-				} else if t.IsVoid() {
-					// A void call in statement position can become a no-op.
-					if _, isStmt := pm[ce].(*cast.ExprStmt); isStmt {
-						cands = append(cands, ce)
-					}
-				}
-			}
+	cands := inBodies(m, func(ce *cast.CallExpr) bool {
+		t := ce.Type()
+		if !t.IsNil() && !t.IsVoid() && simpleScalar(t) {
 			return true
-		})
-	}
+		}
+		// A void call in statement position can become a no-op.
+		_, isStmt := pm[ce].(*cast.ExprStmt)
+		return t.IsVoid() && isStmt
+	})
 	if len(cands) == 0 {
 		return false
 	}
@@ -614,7 +585,7 @@ func castExprToWiderType(m *muast.Manager) bool {
 }
 
 func strengthReduceMul(m *muast.Manager) bool {
-	ops := binaryOps(m, func(bo *cast.BinaryOperator) bool {
+	ops := inBodies(m, func(bo *cast.BinaryOperator) bool {
 		if bo.Op != cast.BinMul || !bo.Type().IsInteger() {
 			return false
 		}
@@ -635,7 +606,7 @@ func strengthReduceMul(m *muast.Manager) bool {
 }
 
 func strengthExpandShift(m *muast.Manager) bool {
-	ops := binaryOps(m, func(bo *cast.BinaryOperator) bool {
+	ops := inBodies(m, func(bo *cast.BinaryOperator) bool {
 		if bo.Op != cast.BinShl {
 			return false
 		}
@@ -652,7 +623,7 @@ func strengthExpandShift(m *muast.Manager) bool {
 }
 
 func reassociateArithmetic(m *muast.Manager) bool {
-	ops := binaryOps(m, func(bo *cast.BinaryOperator) bool {
+	ops := inBodies(m, func(bo *cast.BinaryOperator) bool {
 		if bo.Op != cast.BinAdd && bo.Op != cast.BinMul {
 			return false
 		}
@@ -672,7 +643,7 @@ func reassociateArithmetic(m *muast.Manager) bool {
 }
 
 func distributeMultiplication(m *muast.Manager) bool {
-	ops := binaryOps(m, func(bo *cast.BinaryOperator) bool {
+	ops := inBodies(m, func(bo *cast.BinaryOperator) bool {
 		if bo.Op != cast.BinMul || !m.IsSideEffectFree(bo) {
 			return false
 		}
@@ -731,21 +702,11 @@ func stripParens(e cast.Expr) cast.Expr {
 	}
 }
 
-func subscripts(m *muast.Manager) []*cast.ArraySubscriptExpr {
-	var out []*cast.ArraySubscriptExpr
-	for _, fn := range m.Functions() {
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			if ase, ok := n.(*cast.ArraySubscriptExpr); ok {
-				out = append(out, ase)
-			}
-			return true
-		})
-	}
-	return out
-}
+// hasIntIndex reports whether a subscript's index has integer type.
+func hasIntIndex(ase *cast.ArraySubscriptExpr) bool { return ase.Index.Type().IsInteger() }
 
 func replaceSubscriptWithDeref(m *muast.Manager) bool {
-	subs := subscripts(m)
+	subs := inBodies[*cast.ArraySubscriptExpr](m, nil)
 	if len(subs) == 0 {
 		return false
 	}
@@ -755,15 +716,7 @@ func replaceSubscriptWithDeref(m *muast.Manager) bool {
 }
 
 func replaceDerefWithSubscript(m *muast.Manager) bool {
-	var cands []*cast.UnaryOperator
-	for _, fn := range m.Functions() {
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			if uo, ok := n.(*cast.UnaryOperator); ok && uo.Op == cast.UnDeref {
-				cands = append(cands, uo)
-			}
-			return true
-		})
-	}
+	cands := inBodies(m, func(uo *cast.UnaryOperator) bool { return uo.Op == cast.UnDeref })
 	if len(cands) == 0 {
 		return false
 	}
@@ -772,14 +725,9 @@ func replaceDerefWithSubscript(m *muast.Manager) bool {
 }
 
 func swapSubscriptBase(m *muast.Manager) bool {
-	var cands []*cast.ArraySubscriptExpr
-	for _, ase := range subscripts(m) {
-		// i[a] requires i integer and a pointer/array; both already hold
-		// for a well-typed a[i], but keep plain-ref bases for readability.
-		if ase.Index.Type().IsInteger() {
-			cands = append(cands, ase)
-		}
-	}
+	// i[a] requires i integer and a pointer/array; both already hold for
+	// a well-typed a[i].
+	cands := inBodies(m, hasIntIndex)
 	if len(cands) == 0 {
 		return false
 	}
@@ -791,23 +739,14 @@ func swapSubscriptBase(m *muast.Manager) bool {
 // incDecStmts returns ++/-- expressions in statement position.
 func incDecStmts(m *muast.Manager) []*cast.UnaryOperator {
 	pm := m.Parents()
-	var out []*cast.UnaryOperator
-	for _, fn := range m.Functions() {
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			uo, ok := n.(*cast.UnaryOperator)
-			if !ok {
-				return true
-			}
-			switch uo.Op {
-			case cast.UnPreInc, cast.UnPreDec, cast.UnPostInc, cast.UnPostDec:
-				if _, isStmt := pm[uo].(*cast.ExprStmt); isStmt {
-					out = append(out, uo)
-				}
-			}
-			return true
-		})
-	}
-	return out
+	return inBodies(m, func(uo *cast.UnaryOperator) bool {
+		switch uo.Op {
+		case cast.UnPreInc, cast.UnPreDec, cast.UnPostInc, cast.UnPostDec:
+			_, isStmt := pm[uo].(*cast.ExprStmt)
+			return isStmt
+		}
+		return false
+	})
 }
 
 func incrementToAddAssign(m *muast.Manager) bool {
@@ -838,15 +777,7 @@ func preToPostIncrement(m *muast.Manager) bool {
 }
 
 func flattenConditionalExpr(m *muast.Manager) bool {
-	var cands []*cast.ConditionalExpr
-	for _, fn := range m.Functions() {
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			if ce, ok := n.(*cast.ConditionalExpr); ok && m.IsSideEffectFree(ce.Cond) {
-				cands = append(cands, ce)
-			}
-			return true
-		})
-	}
+	cands := inBodies(m, func(ce *cast.ConditionalExpr) bool { return m.IsSideEffectFree(ce.Cond) })
 	if len(cands) == 0 {
 		return false
 	}
@@ -860,49 +791,32 @@ func flattenConditionalExpr(m *muast.Manager) bool {
 }
 
 func replaceArgWithDefault(m *muast.Manager) bool {
-	type inst struct {
-		arg cast.Expr
-	}
-	var cands []inst
-	for _, fn := range m.Functions() {
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			ce, ok := n.(*cast.CallExpr)
-			if !ok {
-				return true
+	var cands []cast.Expr
+	for _, ce := range inBodies[*cast.CallExpr](m, nil) {
+		for _, a := range ce.Args {
+			if simpleScalar(a.Type()) {
+				cands = append(cands, a)
 			}
-			for _, a := range ce.Args {
-				if simpleScalar(a.Type()) {
-					cands = append(cands, inst{a})
-				}
-			}
-			return true
-		})
+		}
 	}
 	if len(cands) == 0 {
 		return false
 	}
-	c := muast.RandElement(m, cands)
-	return m.ReplaceNode(c.arg, m.DefaultValueExpr(c.arg.Type()))
+	arg := muast.RandElement(m, cands)
+	return m.ReplaceNode(arg, m.DefaultValueExpr(arg.Type()))
 }
 
 func swapCallArguments(m *muast.Manager) bool {
 	type pair struct{ a, b cast.Expr }
 	var cands []pair
-	for _, fn := range m.Functions() {
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			ce, ok := n.(*cast.CallExpr)
-			if !ok || len(ce.Args) < 2 {
-				return true
-			}
-			for i := 0; i < len(ce.Args); i++ {
-				for j := i + 1; j < len(ce.Args); j++ {
-					if sameScalarType(ce.Args[i].Type(), ce.Args[j].Type()) {
-						cands = append(cands, pair{ce.Args[i], ce.Args[j]})
-					}
+	for _, ce := range inBodies[*cast.CallExpr](m, nil) {
+		for i := 0; i < len(ce.Args); i++ {
+			for j := i + 1; j < len(ce.Args); j++ {
+				if sameScalarType(ce.Args[i].Type(), ce.Args[j].Type()) {
+					cands = append(cands, pair{ce.Args[i], ce.Args[j]})
 				}
 			}
-			return true
-		})
+		}
 	}
 	if len(cands) == 0 {
 		return false
@@ -913,7 +827,7 @@ func swapCallArguments(m *muast.Manager) bool {
 }
 
 func expandLogicalToBitwise(m *muast.Manager) bool {
-	ops := binaryOps(m, func(bo *cast.BinaryOperator) bool {
+	ops := inBodies(m, func(bo *cast.BinaryOperator) bool {
 		return bo.Op.IsLogical() &&
 			m.IsSideEffectFree(bo.LHS) && m.IsSideEffectFree(bo.RHS) &&
 			bo.LHS.Type().Decay().IsScalar() && bo.RHS.Type().Decay().IsScalar()
@@ -931,7 +845,7 @@ func expandLogicalToBitwise(m *muast.Manager) bool {
 }
 
 func bitwiseToLogical(m *muast.Manager) bool {
-	ops := binaryOps(m, func(bo *cast.BinaryOperator) bool {
+	ops := inBodies(m, func(bo *cast.BinaryOperator) bool {
 		return (bo.Op == cast.BinAnd || bo.Op == cast.BinOr) &&
 			bo.LHS.Type().IsInteger() && bo.RHS.Type().IsInteger()
 	})
@@ -966,7 +880,7 @@ func addNegationTwice(m *muast.Manager) bool {
 }
 
 func comparisonToSubtraction(m *muast.Manager) bool {
-	ops := binaryOps(m, func(bo *cast.BinaryOperator) bool {
+	ops := inBodies(m, func(bo *cast.BinaryOperator) bool {
 		switch bo.Op {
 		case cast.BinLT, cast.BinGT, cast.BinLE, cast.BinGE:
 			return bo.LHS.Type().IsInteger() && bo.RHS.Type().IsInteger()
@@ -982,7 +896,7 @@ func comparisonToSubtraction(m *muast.Manager) bool {
 }
 
 func expandEqualityToRelational(m *muast.Manager) bool {
-	ops := binaryOps(m, func(bo *cast.BinaryOperator) bool {
+	ops := inBodies(m, func(bo *cast.BinaryOperator) bool {
 		return bo.Op == cast.BinEQ &&
 			bo.LHS.Type().IsInteger() && bo.RHS.Type().IsInteger() &&
 			m.IsSideEffectFree(bo.LHS) && m.IsSideEffectFree(bo.RHS)
@@ -1059,21 +973,15 @@ func replaceWithSameScopeVariable(m *muast.Manager) bool {
 				visible = append(visible, vis{pv.Name, pv, pv.Ty})
 			}
 		}
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			dr, ok := n.(*cast.DeclRefExpr)
-			if !ok || parentRequiresLvalue(pm, dr) {
-				return true
-			}
-			if !simpleScalar(dr.Type()) {
-				return true
-			}
+		for _, dr := range muast.Find(m, fn.Body, func(dr *cast.DeclRefExpr) bool {
+			return !parentRequiresLvalue(pm, dr) && simpleScalar(dr.Type())
+		}) {
 			for _, v := range visible {
 				if v.d != dr.Ref && sameScalarType(v.ty, dr.Type()) {
 					cands = append(cands, inst{dr, v.nm})
 				}
 			}
-			return true
-		})
+		}
 	}
 	if len(cands) == 0 {
 		return false
@@ -1083,16 +991,9 @@ func replaceWithSameScopeVariable(m *muast.Manager) bool {
 }
 
 func stringLiteralShrink(m *muast.Manager) bool {
-	var cands []*cast.StringLiteral
-	for _, fn := range m.Functions() {
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			if sl, ok := n.(*cast.StringLiteral); ok && len(sl.Value) > 1 &&
-				!strings.Contains(sl.Value, "%") {
-				cands = append(cands, sl)
-			}
-			return true
-		})
-	}
+	cands := inBodies(m, func(sl *cast.StringLiteral) bool {
+		return len(sl.Value) > 1 && !strings.Contains(sl.Value, "%")
+	})
 	if len(cands) == 0 {
 		return false
 	}
@@ -1102,7 +1003,7 @@ func stringLiteralShrink(m *muast.Manager) bool {
 }
 
 func constantFoldExpr(m *muast.Manager) bool {
-	ops := binaryOps(m, func(bo *cast.BinaryOperator) bool {
+	ops := inBodies(m, func(bo *cast.BinaryOperator) bool {
 		if bo.Op.IsAssignment() {
 			return false
 		}
@@ -1158,12 +1059,7 @@ func conditionAlwaysFalse(m *muast.Manager) bool {
 }
 
 func modifyArrayIndex(m *muast.Manager) bool {
-	var cands []*cast.ArraySubscriptExpr
-	for _, ase := range subscripts(m) {
-		if ase.Index.Type().IsInteger() {
-			cands = append(cands, ase)
-		}
-	}
+	cands := inBodies(m, hasIntIndex)
 	if len(cands) == 0 {
 		return false
 	}
@@ -1184,31 +1080,26 @@ func replaceMemberWithOtherField(m *muast.Manager) bool {
 		nm string
 	}
 	var cands []inst
-	for _, fn := range m.Functions() {
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			me, ok := n.(*cast.MemberExpr)
-			if !ok || me.FieldDecl == nil || parentRequiresLvalue(pm, me) {
-				return true
-			}
-			target := me.Base.Type()
-			if me.IsArrow {
-				pt, ok := target.Decay().PointeeType()
-				if !ok {
-					return true
-				}
-				target = pt
-			}
-			rt, ok := target.Canonical().T.(*cast.RecordType)
+	for _, me := range inBodies(m, func(me *cast.MemberExpr) bool {
+		return me.FieldDecl != nil && !parentRequiresLvalue(pm, me)
+	}) {
+		target := me.Base.Type()
+		if me.IsArrow {
+			pt, ok := target.Decay().PointeeType()
 			if !ok {
-				return true
+				continue
 			}
-			for _, f := range rt.Decl.Fields {
-				if f.Name != me.Field && sameScalarType(f.Ty, me.FieldDecl.Ty) {
-					cands = append(cands, inst{me, f.Name})
-				}
+			target = pt
+		}
+		rt, ok := target.Canonical().T.(*cast.RecordType)
+		if !ok {
+			continue
+		}
+		for _, f := range rt.Decl.Fields {
+			if f.Name != me.Field && sameScalarType(f.Ty, me.FieldDecl.Ty) {
+				cands = append(cands, inst{me, f.Name})
 			}
-			return true
-		})
+		}
 	}
 	if len(cands) == 0 {
 		return false

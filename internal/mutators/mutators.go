@@ -12,9 +12,6 @@
 package mutators
 
 import (
-	"fmt"
-	"strings"
-
 	"github.com/icsnju/metamut-go/internal/cast"
 	"github.com/icsnju/metamut-go/internal/muast"
 )
@@ -41,6 +38,19 @@ func reg(name, desc string, cat muast.Category, set muast.Set, creative bool, fn
 // ---------------------------------------------------------------------
 // Shared collection helpers
 // ---------------------------------------------------------------------
+
+// inBodies returns every node of type T inside the bodies of the
+// unit's function definitions that satisfies pred (all when pred is
+// nil), function by function in muast.Find's walk order. It is the
+// mutators' collection step; a direct cast.Walk remains only where the
+// visitor prunes a subtree or stops early.
+func inBodies[T cast.Node](m *muast.Manager, pred func(T) bool) []T {
+	var out []T
+	for _, fn := range m.Functions() {
+		out = append(out, muast.Find(m, fn.Body, pred)...)
+	}
+	return out
+}
 
 // mutableIntExprs returns side-effect-free integer-typed expressions that
 // sit in ordinary expression positions (excluding case labels, global
@@ -125,20 +135,6 @@ func inConstantContext(pm cast.ParentMap, n cast.Node) bool {
 	return false
 }
 
-// binaryOps returns binary operators under function bodies matching pred.
-func binaryOps(m *muast.Manager, pred func(*cast.BinaryOperator) bool) []*cast.BinaryOperator {
-	var out []*cast.BinaryOperator
-	for _, fn := range m.Functions() {
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			if bo, ok := n.(*cast.BinaryOperator); ok && (pred == nil || pred(bo)) {
-				out = append(out, bo)
-			}
-			return true
-		})
-	}
-	return out
-}
-
 // localVarDecls returns local variable declarations with simple scalar
 // types, optionally requiring an initializer.
 func localVarDecls(m *muast.Manager, needInit bool) []*cast.VarDecl {
@@ -168,17 +164,12 @@ func declStmtFor(m *muast.Manager, vd *cast.VarDecl) *cast.DeclStmt {
 // functions (not nested expressions), matching pred.
 func bodyStmts(m *muast.Manager, pred func(cast.Stmt) bool) []cast.Stmt {
 	var out []cast.Stmt
-	for _, fn := range m.Functions() {
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			if cs, ok := n.(*cast.CompoundStmt); ok {
-				for _, s := range cs.Stmts {
-					if pred == nil || pred(s) {
-						out = append(out, s)
-					}
-				}
+	for _, cs := range inBodies[*cast.CompoundStmt](m, nil) {
+		for _, s := range cs.Stmts {
+			if pred == nil || pred(s) {
+				out = append(out, s)
 			}
-			return true
-		})
+		}
 	}
 	return out
 }
@@ -206,6 +197,3 @@ func sameScalarType(a, b cast.QualType) bool {
 	kb, okb := b.Basic()
 	return oka && okb && ka == kb
 }
-
-var _ = fmt.Sprintf
-var _ = strings.Contains
