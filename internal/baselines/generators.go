@@ -143,5 +143,3 @@ func (y *YARPGen) generate() string {
 	fmt.Fprintf(&sb, "    return a_%d_0[0] & 0xff;\n}\n", y.seq)
 	return sb.String()
 }
-
-var _ = compilersim.DefaultOptions

@@ -164,9 +164,6 @@ func (g *GrayC) Name() string { return g.stats.Name }
 // Stats exposes accounting.
 func (g *GrayC) Stats() *fuzz.Stats { return g.stats }
 
-// MutatorCount reports the number of mutators (5, as the paper checks).
-func (g *GrayC) MutatorCount() int { return len(grayCMutators()) }
-
 // Step applies one random GrayC mutator to a pool program.
 func (g *GrayC) Step() {
 	if len(g.pool) == 0 {

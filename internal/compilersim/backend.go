@@ -1,8 +1,6 @@
 package compilersim
 
 import (
-	"fmt"
-
 	"github.com/icsnju/metamut-go/internal/compilersim/cover"
 	"github.com/icsnju/metamut-go/internal/compilersim/ir"
 )
@@ -284,17 +282,4 @@ func (cg *codegen) genFuncCode(f *ir.Func) {
 	if removed > 0 {
 		cg.trace.HitN("be.peephole", removed%13)
 	}
-}
-
-// DumpAsm renders the object for debugging.
-func DumpAsm(obj *Object) string {
-	s := ""
-	for _, in := range obj.Instrs {
-		if in.Reg >= 0 {
-			s += fmt.Sprintf("%s r%d\n", in.Op, in.Reg)
-		} else {
-			s += in.Op.String() + "\n"
-		}
-	}
-	return s
 }

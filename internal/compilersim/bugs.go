@@ -1,9 +1,6 @@
 package compilersim
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Component identifies the compiler module a defect lives in, matching
 // the paper's Table 4 / Table 6 classification.
@@ -690,15 +687,3 @@ func clangBugs() []Bug {
 	)
 	return bugs
 }
-
-// bugStats summarizes a corpus; used by tests and documentation.
-func bugStats(bugs []Bug) map[string]int {
-	out := map[string]int{}
-	for _, b := range bugs {
-		out[b.Component.String()]++
-		out[b.Kind.String()]++
-	}
-	return out
-}
-
-var _ = fmt.Sprintf

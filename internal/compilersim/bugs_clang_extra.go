@@ -1,9 +1,6 @@
 package compilersim
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // clangExtraBugs extends the Clang corpus so its module distribution
 // matches Table 6's shape (Clang's front-end and back-end dominate its
@@ -167,5 +164,3 @@ func clangExtraBugs() []Bug {
 	)
 	return bugs
 }
-
-var _ = fmt.Sprintf

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"github.com/icsnju/metamut-go/internal/compilersim/cover"
-	"github.com/icsnju/metamut-go/internal/compilersim/ir"
 	"github.com/icsnju/metamut-go/internal/obs"
 )
 
@@ -116,9 +115,6 @@ func New(name string, version int) *Compiler {
 
 // Bugs exposes the defect corpus (read-only) for the experiment harness.
 func (c *Compiler) Bugs() []Bug { return c.bugs }
-
-// BugStats returns per-component and per-kind defect counts.
-func (c *Compiler) BugStats() map[string]int { return bugStats(c.bugs) }
 
 // Instrument attaches live telemetry: every Compile updates
 // compile_results_total{compiler,outcome} and, for crashes,
@@ -254,5 +250,3 @@ func FeatureNames(f Features) []string {
 	sort.Strings(keys)
 	return keys
 }
-
-var _ = ir.OpNop

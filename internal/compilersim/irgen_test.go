@@ -206,12 +206,10 @@ int main(void) { return f(10); }
 	}
 }
 
-func TestDumpAsm(t *testing.T) {
+func TestGenerateCodeEmitsInstrs(t *testing.T) {
 	prog := lowered(t, "int main(void) { return 1 + 2; }")
-	obj := GenerateCode(prog, nopTracer(), Features{})
-	asm := DumpAsm(obj)
-	if asm == "" {
-		t.Fatal("empty asm dump")
+	if obj := GenerateCode(prog, nopTracer(), Features{}); len(obj.Instrs) == 0 {
+		t.Fatal("back end emitted no instructions")
 	}
 }
 

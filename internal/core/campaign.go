@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"sort"
-	"time"
 
 	"github.com/icsnju/metamut-go/internal/llm"
 	"github.com/icsnju/metamut-go/internal/muast"
@@ -385,9 +384,4 @@ func (st *CampaignStats) TotalFixes() int {
 		n += v
 	}
 	return n
-}
-
-// MeanGenerationTime returns the wall-clock mean per valid mutator.
-func (st *CampaignStats) MeanGenerationTime() time.Duration {
-	return time.Duration(st.TimeTotal.Mean * float64(time.Second))
 }

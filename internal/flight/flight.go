@@ -1,8 +1,8 @@
 // Package flight is the campaign flight recorder: a causal, replayable
 // record of everything significant a fuzzing campaign does — epoch
-// barriers, checkpoints, mutator rewards, quarantine and breaker
-// transitions, crash discoveries — plus the live ops console served
-// from it and deterministic anomaly watchdogs over it.
+// barriers, checkpoints, mutator rewards, quarantine transitions, crash
+// discoveries — plus the live ops console served from it and
+// deterministic anomaly watchdogs over it.
 //
 // The journal is keyed by *logical* time only: campaign/epoch/stream
 // causal IDs and per-stream ticks (compiler invocations), never
@@ -32,7 +32,6 @@ import (
 	"sync"
 
 	"github.com/icsnju/metamut-go/internal/obs"
-	"github.com/icsnju/metamut-go/internal/resil"
 	"github.com/icsnju/metamut-go/internal/sched"
 )
 
@@ -259,16 +258,6 @@ func (r *Recorder) EmitCampaign(kind string, data map[string]any) {
 	r.mu.Lock()
 	r.global = append(r.global, Event{Stream: -1, Kind: kind, Data: data})
 	r.mu.Unlock()
-}
-
-// BreakerHook adapts a recorder into a resil.Breaker transition hook
-// journaling open/close transitions as campaign-level events.
-func BreakerHook(r *Recorder) func(from, to resil.State) {
-	return func(from, to resil.State) {
-		r.EmitCampaign("breaker", map[string]any{
-			"from": from.String(), "to": to.String(),
-		})
-	}
 }
 
 // EndEpoch drains every stream's buffered events (in stream order),

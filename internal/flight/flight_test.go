@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"github.com/icsnju/metamut-go/internal/obs"
-	"github.com/icsnju/metamut-go/internal/resil"
 	"github.com/icsnju/metamut-go/internal/sched"
 )
 
@@ -519,11 +518,10 @@ func TestSSEHandlerStreamsEvents(t *testing.T) {
 	}
 }
 
-func TestBreakerHookJournalsTransitions(t *testing.T) {
+func TestEmitCampaignJournalsAtNextBarrier(t *testing.T) {
 	var buf bytes.Buffer
 	r := NewRecorder(Config{Streams: 1, Journal: &buf})
-	hook := BreakerHook(r)
-	hook(resil.Closed, resil.Open)
+	r.EmitCampaign("breaker", map[string]any{"from": "closed", "to": "open"})
 	r.EndEpoch(barrier(1, 16, 3, StreamInfo{Stream: 0, Ticks: 16}))
 	if !bytes.Contains(buf.Bytes(), []byte(`"kind":"breaker"`)) {
 		t.Errorf("breaker transition not journaled: %s", buf.String())

@@ -210,16 +210,6 @@ func (s *Stats) CompilableRatio() float64 {
 // UniqueCrashes returns the crash count.
 func (s *Stats) UniqueCrashes() int { return len(s.Crashes) }
 
-// CrashesByComponent buckets unique crashes per compiler component
-// (Table 4).
-func (s *Stats) CrashesByComponent() map[compilersim.Component]int {
-	out := map[compilersim.Component]int{}
-	for _, c := range s.Crashes {
-		out[c.Report.Component]++
-	}
-	return out
-}
-
 // CrashTimeline returns (tick, cumulative unique crashes) points sorted
 // by tick (Figure 9).
 func (s *Stats) CrashTimeline() [][2]int {
@@ -874,13 +864,4 @@ func (f *MuCFuzz) Corpus() []string {
 func (f *MuCFuzz) SetCorpus(pool []string) {
 	f.pool = make([]string, len(pool))
 	copy(f.pool, pool)
-}
-
-// MergedCrashes unions workers' unique crashes (earliest discovery wins).
-func MergedCrashes(workers []*MacroFuzzer) map[string]*CrashInfo {
-	agg := NewStats("merged")
-	for _, w := range workers {
-		agg.MergeFrom(w.stats)
-	}
-	return agg.Crashes
 }

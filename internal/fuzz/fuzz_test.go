@@ -138,9 +138,12 @@ func TestMacroFuzzerHavocAndFlags(t *testing.T) {
 	if shared.Count() == 0 {
 		t.Fatal("shared coverage empty")
 	}
-	merged := MergedCrashes(workers)
+	merged := NewStats("merged")
+	for _, w := range workers {
+		merged.MergeFrom(w.Stats())
+	}
 	t.Logf("macro: %d mutants, %d shared edges, %d unique crashes",
-		total, shared.Count(), len(merged))
+		total, shared.Count(), len(merged.Crashes))
 }
 
 func TestMacroResourceLimit(t *testing.T) {

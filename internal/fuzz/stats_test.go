@@ -22,9 +22,6 @@ func TestStatsZeroValues(t *testing.T) {
 	if s.UniqueCrashes() != 0 || len(s.CrashTimeline()) != 0 {
 		t.Error("empty stats report crashes")
 	}
-	if len(s.CrashesByComponent()) != 0 {
-		t.Error("empty component map not empty")
-	}
 }
 
 func TestStatsRecordAccounting(t *testing.T) {
@@ -118,14 +115,14 @@ func TestUncheckedRewriteProducesOutput(t *testing.T) {
 }
 
 func TestMergedCrashesKeepsEarliest(t *testing.T) {
-	mk := func(tick int) *MacroFuzzer {
-		m := &MacroFuzzer{stats: NewStats("w")}
-		m.stats.Crashes["sig"] = &CrashInfo{FirstTick: tick}
-		return m
+	merged := NewStats("merged")
+	for _, tick := range []int{50, 10, 30} {
+		w := NewStats("w")
+		w.Crashes["sig"] = &CrashInfo{FirstTick: tick}
+		merged.MergeFrom(w)
 	}
-	merged := MergedCrashes([]*MacroFuzzer{mk(50), mk(10), mk(30)})
-	if merged["sig"].FirstTick != 10 {
-		t.Errorf("earliest = %d, want 10", merged["sig"].FirstTick)
+	if got := merged.Crashes["sig"].FirstTick; got != 10 {
+		t.Errorf("earliest = %d, want 10", got)
 	}
 }
 

@@ -153,12 +153,11 @@ type RotatingWriter struct {
 	// completed rotation — e.g. to bump a rotation counter metric.
 	OnRotate func()
 
-	mu        sync.Mutex
-	path      string
-	max       int64
-	f         *os.File
-	n         int64 // bytes written to the current generation
-	rotations int64
+	mu   sync.Mutex
+	path string
+	max  int64
+	f    *os.File
+	n    int64 // bytes written to the current generation
 }
 
 // RotatedSuffix names the single rotated generation kept on disk.
@@ -222,15 +221,7 @@ func (w *RotatingWriter) rotate() error {
 	}
 	w.f = f
 	w.n = 0
-	w.rotations++
 	return nil
-}
-
-// Rotations returns how many rotations have completed.
-func (w *RotatingWriter) Rotations() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.rotations
 }
 
 // Size returns the byte count of the current generation.

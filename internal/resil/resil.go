@@ -1,8 +1,7 @@
 // Package resil is the campaign-wide fault-tolerance layer: bounded
 // deterministic retry with exponential backoff and seeded jitter, a
-// call-count circuit breaker for throttle storms, a strike/parole
-// quarantine for misbehaving mutators, and panic capture for supervised
-// execution.
+// call-count circuit breaker for throttle storms, and a strike/parole
+// quarantine for misbehaving mutators.
 //
 // The paper's headline result is an eight-month bug-hunting campaign —
 // which only works if one flaky LLM call, one pathological mutator, or
@@ -23,7 +22,6 @@
 package resil
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/icsnju/metamut-go/internal/obs"
@@ -101,7 +99,6 @@ type Retrier struct {
 	stage   string
 	state   uint64
 	retries int
-	waited  time.Duration
 }
 
 // Retrier returns a fresh attempt budget for one stage. seed pins the
@@ -135,7 +132,6 @@ func (r *Retrier) Next() (time.Duration, bool) {
 	d *= 1 + r.p.Jitter*(2*u-1)
 	delay := time.Duration(d)
 	r.retries++
-	r.waited += delay
 	if r.p.Registry != nil {
 		r.p.Registry.Counter("resil_retries_total", "stage").With(r.stage).Inc()
 	}
@@ -144,29 +140,3 @@ func (r *Retrier) Next() (time.Duration, bool) {
 
 // Retries returns the retries granted so far.
 func (r *Retrier) Retries() int { return r.retries }
-
-// Waited returns the total backoff handed out so far.
-func (r *Retrier) Waited() time.Duration { return r.waited }
-
-// PanicError wraps a recovered panic value so supervised execution can
-// report it as an ordinary error.
-type PanicError struct {
-	Value any
-	Stack []byte
-}
-
-// Error returns the panic value.
-func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
-
-// Safely runs fn, converting a panic into a *PanicError instead of
-// unwinding the caller — the supervision primitive wrapped around
-// mutator application and worker steps.
-func Safely(fn func()) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Value: r}
-		}
-	}()
-	fn()
-	return nil
-}

@@ -1,7 +1,6 @@
 package resil
 
 import (
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -75,9 +74,6 @@ func TestRetrierBackoffEnvelope(t *testing.T) {
 		if d < lo || d > hi {
 			t.Fatalf("retry %d delay %v outside [%v, %v]", i, d, lo, hi)
 		}
-	}
-	if r.Waited() <= 0 {
-		t.Fatal("Waited not accumulated")
 	}
 }
 
@@ -227,17 +223,6 @@ func TestQuarantineNilReceiver(t *testing.T) {
 	}
 	if q.Quarantined() != nil || q.Strikes("x") != 0 {
 		t.Fatal("nil quarantine recorded state")
-	}
-}
-
-func TestSafelyCapturesPanic(t *testing.T) {
-	err := Safely(func() { panic("boom") })
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Value != "boom" {
-		t.Fatalf("Safely returned %v, want PanicError{boom}", err)
-	}
-	if err := Safely(func() {}); err != nil {
-		t.Fatalf("clean fn returned %v", err)
 	}
 }
 
