@@ -18,6 +18,7 @@ import (
 
 	"github.com/icsnju/metamut-go/internal/cast"
 	"github.com/icsnju/metamut-go/internal/compilersim"
+	"github.com/icsnju/metamut-go/internal/compilersim/cover"
 	"github.com/icsnju/metamut-go/internal/core"
 	"github.com/icsnju/metamut-go/internal/engine"
 	"github.com/icsnju/metamut-go/internal/experiments"
@@ -285,9 +286,8 @@ func BenchmarkAblationNoHavoc(b *testing.B) {
 		run := func(havocMax int) int {
 			cfg := fuzz.DefaultMacroConfig()
 			cfg.HavocMax = havocMax
-			shared := fuzz.NewSharedCoverage()
 			w := fuzz.NewMacroFuzzer("m", comp, muast.All(), pool,
-				rand.New(rand.NewSource(9)), shared, cfg)
+				rand.New(rand.NewSource(9)), &benchSink{}, cfg)
 			for w.Stats().Ticks < 2000 {
 				w.Step()
 			}
@@ -504,6 +504,18 @@ func TestHotLoopAllocBudget(t *testing.T) {
 	}
 }
 
+// benchSink is a single-goroutine fuzz.CoverageSink over one map; a
+// campaign hands each macro worker the engine's per-epoch view instead.
+type benchSink struct{ m cover.Map }
+
+func (s *benchSink) MergeIfNew(m *cover.Map) bool {
+	if !s.m.HasNew(m) {
+		return false
+	}
+	s.m.Merge(m)
+	return true
+}
+
 // mutationStepBytes runs a warm macro-fuzzer stream — havoc stacking,
 // the unchecked-rewrite splice and the static filter on, no mutant
 // cache — and returns the heap bytes allocated per Step. The pool and
@@ -516,7 +528,7 @@ func mutationStepBytes(tb testing.TB) float64 {
 	cfg := fuzz.DefaultMacroConfig()
 	cfg.StaticFilter = true
 	f := fuzz.NewMacroFuzzer("alloc-budget", comp, muast.All(), seeds.Generate(24, 3),
-		rand.New(rand.NewSource(7)), fuzz.NewSharedCoverage(), cfg)
+		rand.New(rand.NewSource(7)), &benchSink{}, cfg)
 	for i := 0; i < 300; i++ {
 		f.Step()
 	}

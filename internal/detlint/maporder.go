@@ -18,7 +18,7 @@ import (
 //   - encoding/json Marshal / MarshalIndent and (*json.Encoder).Encode
 //   - Write / WriteString / WriteByte / WriteRune methods (building
 //     output or feeding a hash in iteration order)
-//   - the flight journal emitters (Emit / EmitCampaign) and report
+//   - the flight journal emitter (Emit) and report
 //     Render methods
 var Maporder = &Analyzer{
 	Name: "maporder",
@@ -31,7 +31,7 @@ var Maporder = &Analyzer{
 // order regardless of receiver type.
 var maporderSinkMethods = map[string]bool{
 	"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
-	"Emit": true, "EmitCampaign": true, "Render": true,
+	"Emit": true, "Render": true,
 }
 
 func runMaporder(pass *Pass) {

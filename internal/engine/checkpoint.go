@@ -266,7 +266,7 @@ func (c *Campaign) Snapshot() (*Snapshot, error) {
 // Checkpoint writes the current snapshot to cfg.CheckpointPath with
 // durable.Write, keeping the checkpoint it replaces as the .prev
 // generation. Failed write attempts are retried up to
-// cfg.CheckpointRetries times and counted in
+// checkpointRetries times and counted in
 // engine_checkpoint_failures_total.
 func (c *Campaign) Checkpoint() error {
 	if c.cfg.CheckpointPath == "" {
@@ -288,7 +288,7 @@ func (c *Campaign) Checkpoint() error {
 		return err
 	}
 	var lastErr error
-	for attempt := 0; attempt < c.cfg.CheckpointRetries; attempt++ {
+	for attempt := 0; attempt < checkpointRetries; attempt++ {
 		out := data
 		if c.cfg.CheckpointTransform != nil {
 			var terr error

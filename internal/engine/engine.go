@@ -22,7 +22,7 @@
 // Stream execution is supervised: a panic in a worker is caught in the
 // executing goroutine and never takes down the fleet. A task that dies
 // before its first step of the epoch mutated nothing and is simply
-// re-dispatched (up to TaskRetries — this is how recoverable chaos
+// re-dispatched (up to taskRetries times — this is how recoverable chaos
 // faults stay byte-identical to a fault-free run); a task that dies
 // mid-step has corrupted its stream's trajectory, so the stream is
 // poisoned — retired from scheduling, recorded in the checkpoint — while
@@ -109,13 +109,15 @@ type Config struct {
 	// just before each write attempt — the chaos harness tears or fails
 	// writes here. An error counts as a failed write attempt.
 	CheckpointTransform func(data []byte) ([]byte, error)
-	// TaskRetries bounds re-dispatches of a stream task whose worker
-	// panicked before stepping (default 2). Panics after the first step
-	// are never retried — the stream is poisoned instead.
-	TaskRetries int
-	// CheckpointRetries bounds write attempts per checkpoint (default 3).
-	CheckpointRetries int
 }
+
+// taskRetries bounds re-dispatches of a stream task whose worker
+// panicked before stepping. Panics after the first step are never
+// retried — the stream is poisoned instead.
+const taskRetries = 2
+
+// checkpointRetries bounds write attempts per checkpoint.
+const checkpointRetries = 3
 
 func (cfg *Config) normalize() {
 	if cfg.Streams <= 0 {
@@ -132,12 +134,6 @@ func (cfg *Config) normalize() {
 	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 1
-	}
-	if cfg.TaskRetries <= 0 {
-		cfg.TaskRetries = 2
-	}
-	if cfg.CheckpointRetries <= 0 {
-		cfg.CheckpointRetries = 3
 	}
 }
 
@@ -489,7 +485,7 @@ func (c *Campaign) runEpoch() {
 			if !out.panicked {
 				continue
 			}
-			if out.stepped == 0 && attempts[out.stream] < c.cfg.TaskRetries {
+			if out.stepped == 0 && attempts[out.stream] < taskRetries {
 				// Died before its first step: no stream state was
 				// touched, so re-dispatching replays it exactly.
 				attempts[out.stream]++

@@ -111,7 +111,6 @@ type Recorder struct {
 
 	mu      sync.Mutex
 	streams []*Stream
-	global  []Event // campaign-level events buffered until the barrier
 	ring    []Event
 	written int64
 	jerr    error
@@ -206,7 +205,6 @@ func NewRecorder(cfg Config) *Recorder {
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = 1 << 16
 	}
-	cfg.Watchdogs = cfg.Watchdogs.withDefaults()
 	r := &Recorder{
 		cfg:     cfg,
 		crashes: map[string]*CrashBucket{},
@@ -247,19 +245,6 @@ func (r *Recorder) Stream(i int) *Stream {
 	return r.streams[i]
 }
 
-// EmitCampaign buffers a campaign-level event (stream -1) to be
-// journaled at the next barrier. Safe for concurrent use — this is the
-// entry point for hooks that fire off the stream goroutines, like
-// breaker transitions.
-func (r *Recorder) EmitCampaign(kind string, data map[string]any) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.global = append(r.global, Event{Stream: -1, Kind: kind, Data: data})
-	r.mu.Unlock()
-}
-
 // EndEpoch drains every stream's buffered events (in stream order),
 // journals the barrier summaries, and runs the watchdogs. The engine
 // calls it exactly once per epoch, after the coverage merge.
@@ -283,11 +268,6 @@ func (r *Recorder) EndEpoch(info EpochInfo) {
 		}
 		s.buf = s.buf[:0]
 	}
-	for _, ev := range r.global {
-		ev.Epoch = info.Epoch
-		r.appendLocked(ev)
-	}
-	r.global = r.global[:0]
 
 	crashes := 0
 	for _, si := range info.Streams {

@@ -13,65 +13,42 @@ import (
 // and edges, never wall time — so detections land at the same journal
 // position in every equivalent run. Detectors raise
 // flight_anomalies_total{kind} and an "anomaly" journal event; they
-// never kill the run.
+// never kill the run. Their thresholds are the constants below.
 type WatchdogConfig struct {
 	// Disable turns every watchdog off.
 	Disable bool
-	// StallEpochs flags a stream whose tick count has not advanced for
-	// this many consecutive epochs (default 4; kind "stalled_stream").
-	StallEpochs int
-	// PlateauEpochs flags the campaign when global coverage has not
-	// grown for this many consecutive epochs (default 8; kind
-	// "coverage_plateau").
-	PlateauEpochs int
-	// QuarantineStorm flags an epoch carrying at least this many
-	// quarantine admissions (default 3; kind "quarantine_storm").
-	QuarantineStorm int
-	// StarvationTicks flags a stream whose adaptive posterior still has
-	// never-picked arms after this many scheduler ticks — the epsilon
-	// floor should have sampled everything long before (default 2000;
-	// kind "sched_starvation"; fires once per stream).
-	StarvationTicks int
-	// RetrySpike flags an epoch that granted at least this many task
-	// retries (default 4; kind "retry_spike") — the chaos harness's
-	// recoverable worker panics trip this one.
-	RetrySpike int
 	// BaselineEdgesPer1k is the committed BENCH_sched.json throughput
 	// baseline (edges per 1000 ticks); 0 disables the regression
 	// watchdog (kind "throughput_regression"; fires once).
 	BaselineEdgesPer1k float64
-	// RegressionFraction is the fraction of baseline below which the
-	// campaign's edges-per-1k-ticks counts as a regression (default 0.5).
-	RegressionFraction float64
-	// RegressionMinTicks delays the regression judgment until the
-	// campaign has spent this many total ticks (default 2000).
-	RegressionMinTicks int
 }
 
-func (c WatchdogConfig) withDefaults() WatchdogConfig {
-	if c.StallEpochs <= 0 {
-		c.StallEpochs = 4
-	}
-	if c.PlateauEpochs <= 0 {
-		c.PlateauEpochs = 8
-	}
-	if c.QuarantineStorm <= 0 {
-		c.QuarantineStorm = 3
-	}
-	if c.StarvationTicks <= 0 {
-		c.StarvationTicks = 2000
-	}
-	if c.RetrySpike <= 0 {
-		c.RetrySpike = 4
-	}
-	if c.RegressionFraction <= 0 || c.RegressionFraction >= 1 {
-		c.RegressionFraction = 0.5
-	}
-	if c.RegressionMinTicks <= 0 {
-		c.RegressionMinTicks = 2000
-	}
-	return c
-}
+const (
+	// stallEpochs flags a stream whose tick count has not advanced for
+	// this many consecutive epochs (kind "stalled_stream").
+	stallEpochs = 4
+	// plateauEpochs flags the campaign when global coverage has not
+	// grown for this many consecutive epochs (kind "coverage_plateau").
+	plateauEpochs = 8
+	// quarantineStorm flags an epoch carrying at least this many
+	// quarantine admissions (kind "quarantine_storm").
+	quarantineStorm = 3
+	// starvationTicks flags a stream whose adaptive posterior still has
+	// never-picked arms after this many scheduler ticks — the epsilon
+	// floor should have sampled everything long before (kind
+	// "sched_starvation"; fires once per stream).
+	starvationTicks = 2000
+	// retrySpike flags an epoch that granted at least this many task
+	// retries (kind "retry_spike") — the chaos harness's recoverable
+	// worker panics trip this one.
+	retrySpike = 4
+	// regressionFraction is the fraction of baseline below which the
+	// campaign's edges-per-1k-ticks counts as a regression.
+	regressionFraction = 0.5
+	// regressionMinTicks delays the regression judgment until the
+	// campaign has spent this many total ticks.
+	regressionMinTicks = 2000
+)
 
 // watchdogState is the detectors' memory between barriers.
 type watchdogState struct {
@@ -125,7 +102,7 @@ func (r *Recorder) watchdogsLocked(info EpochInfo, quarantines int) {
 			wd.stalled[si.Stream] = false
 		}
 		wd.lastTicks[si.Stream] = si.Ticks
-		if wd.stallFor[si.Stream] >= cfg.StallEpochs && !wd.stalled[si.Stream] {
+		if wd.stallFor[si.Stream] >= stallEpochs && !wd.stalled[si.Stream] {
 			wd.stalled[si.Stream] = true
 			r.anomalyLocked(info.Epoch, si.Stream, "stalled_stream", map[string]any{
 				"epochs": wd.stallFor[si.Stream], "ticks": si.Ticks,
@@ -141,14 +118,14 @@ func (r *Recorder) watchdogsLocked(info EpochInfo, quarantines int) {
 	}
 	wd.sawEdges = true
 	wd.lastEdges = info.Edges
-	if wd.plateauFor >= cfg.PlateauEpochs && !wd.plateauFired {
+	if wd.plateauFor >= plateauEpochs && !wd.plateauFired {
 		wd.plateauFired = true
 		r.anomalyLocked(info.Epoch, -1, "coverage_plateau", map[string]any{
 			"epochs": wd.plateauFor, "edges": info.Edges,
 		})
 	}
 
-	if quarantines >= cfg.QuarantineStorm {
+	if quarantines >= quarantineStorm {
 		r.anomalyLocked(info.Epoch, -1, "quarantine_storm", map[string]any{
 			"count": quarantines,
 		})
@@ -159,7 +136,7 @@ func (r *Recorder) watchdogsLocked(info EpochInfo, quarantines int) {
 		if st == nil || len(st.Picks) == 0 || si.Poisoned || wd.starved[si.Stream] {
 			continue
 		}
-		if st.Ticks < int64(cfg.StarvationTicks) {
+		if st.Ticks < starvationTicks {
 			continue
 		}
 		zero, first := 0, -1
@@ -182,21 +159,21 @@ func (r *Recorder) watchdogsLocked(info EpochInfo, quarantines int) {
 		r.anomalyLocked(info.Epoch, si.Stream, "sched_starvation", data)
 	}
 
-	if info.Retries >= cfg.RetrySpike {
+	if info.Retries >= retrySpike {
 		r.anomalyLocked(info.Epoch, -1, "retry_spike", map[string]any{
 			"count": info.Retries,
 		})
 	}
 
 	if cfg.BaselineEdgesPer1k > 0 && !wd.regressionFired &&
-		totalTicks >= cfg.RegressionMinTicks {
+		totalTicks >= regressionMinTicks {
 		rate := 1000 * float64(info.Edges) / float64(totalTicks)
-		if rate < cfg.RegressionFraction*cfg.BaselineEdgesPer1k {
+		if rate < regressionFraction*cfg.BaselineEdgesPer1k {
 			wd.regressionFired = true
 			r.anomalyLocked(info.Epoch, -1, "throughput_regression", map[string]any{
 				"edges_per_1k":    int(math.Round(rate)),
 				"baseline_per_1k": int(math.Round(cfg.BaselineEdgesPer1k)),
-				"floor_milli":     int(math.Round(1000 * cfg.RegressionFraction)),
+				"floor_milli":     int(math.Round(1000 * regressionFraction)),
 			})
 		}
 	}
@@ -220,7 +197,6 @@ func (r *Recorder) RestoreWatchdogs(journal []byte) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cfg := r.cfg.Watchdogs
 	wd := &r.wd
 	for _, line := range bytes.Split(journal, []byte{'\n'}) {
 		if len(line) == 0 {
@@ -244,7 +220,7 @@ func (r *Recorder) RestoreWatchdogs(journal []byte) {
 				wd.stalled[s] = false
 			}
 			wd.lastTicks[s] = ev.Tick
-			if wd.stallFor[s] >= cfg.StallEpochs {
+			if wd.stallFor[s] >= stallEpochs {
 				wd.stalled[s] = true
 			}
 		case "epoch":
@@ -260,7 +236,7 @@ func (r *Recorder) RestoreWatchdogs(journal []byte) {
 			}
 			wd.sawEdges = true
 			wd.lastEdges = edges
-			if wd.plateauFor >= cfg.PlateauEpochs {
+			if wd.plateauFor >= plateauEpochs {
 				wd.plateauFired = true
 			}
 		case "anomaly":

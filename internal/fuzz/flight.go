@@ -18,32 +18,19 @@ type FlightEmitter interface {
 	Emit(tick int, kind string, data map[string]any)
 }
 
-// AttachFlight connects μCFuzz to a flight recorder stream: quarantine
-// admissions/paroles, scheduler rewards that earned coverage or a
-// crash, new unique crashes, and pool admissions all become journal
-// events. Call before the first Step; a nil emitter is ignored.
-func (f *MuCFuzz) AttachFlight(em FlightEmitter) {
+// AttachFlight connects a fuzzer to a flight recorder stream:
+// quarantine admissions/paroles, scheduler rewards that earned coverage
+// or a crash, new unique crashes, and pool admissions all become
+// journal events. Call before the first Step; a nil emitter is ignored.
+func (s *stream) AttachFlight(em FlightEmitter) {
 	if em == nil {
 		return
 	}
-	f.flight = em
-	f.Quarantine.OnEvent = func(kind, id string) {
-		em.Emit(f.stats.Ticks, kind, map[string]any{"id": id})
+	s.flight = em
+	s.Quarantine.OnEvent = func(kind, id string) {
+		em.Emit(s.stats.Ticks, kind, map[string]any{"id": id})
 	}
-	f.Sched.SetObserver(rewardObserver(em, f.stats, f.mutators))
-}
-
-// AttachFlight connects a macro worker to a flight recorder stream
-// (see MuCFuzz.AttachFlight).
-func (f *MacroFuzzer) AttachFlight(em FlightEmitter) {
-	if em == nil {
-		return
-	}
-	f.flight = em
-	f.Quarantine.OnEvent = func(kind, id string) {
-		em.Emit(f.stats.Ticks, kind, map[string]any{"id": id})
-	}
-	f.Sched.SetObserver(rewardObserver(em, f.stats, f.mutators))
+	s.Sched.SetObserver(rewardObserver(em, s.stats, s.mutators))
 }
 
 // rewardObserver journals scheduler rewards worth replaying: only

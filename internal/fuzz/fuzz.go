@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 
 	"github.com/icsnju/metamut-go/internal/cast"
 	"github.com/icsnju/metamut-go/internal/compilersim"
@@ -333,38 +332,203 @@ func spliceWith(mgr *muast.Manager, rng *rand.Rand) (string, bool) {
 	return mgr.Apply(), true
 }
 
-// compileMutant compiles src through the stream's context. With the
-// static filter on, the caller has already run cx.Front(src) and it
-// accepted the mutant, so only Finish remains and the compile reuses
-// that one parse.
-func compileMutant(cx *compilersim.Context, src string, opts compilersim.Options, frontDone bool) compilersim.Result {
-	if frontDone {
-		return cx.Finish(opts)
+// maxProgramSize is the resource limit (enhancement #4): a mutant longer
+// than this many bytes is dropped before it reaches the compiler.
+const maxProgramSize = 1 << 16
+
+// ---------------------------------------------------------------------
+// The fuzzing stream both fuzzers share
+// ---------------------------------------------------------------------
+
+// stream is the state and machinery μCFuzz and the macro fuzzer share:
+// a program pool, the stream RNG, the accounting, the mutator arsenal
+// behind a quarantine and a scheduler, a per-stream compile context
+// and mutation arena, and the flight emitter. Each fuzzer embeds it and
+// keeps only its own policy in Step.
+type stream struct {
+	cx       *compilersim.Context
+	mutators []*muast.Mutator
+	pool     []string
+	rng      *rand.Rand
+	stats    *Stats
+	// Quarantine benches mutators that keep panicking or exhausting
+	// their fuel budget (strike/parole discipline). Per-instance and
+	// tick-driven, so it never perturbs the deterministic schedule.
+	Quarantine *resil.Quarantine
+	// Sched ranks or picks the mutators each tick. The default Uniform
+	// policy reproduces Algorithm 1's shuffle and the macro fuzzer's
+	// rng.Intn draw bit-for-bit (same stream-RNG draws); swap in
+	// sched.NewAdaptive for bandit-weighted selection. Arms index into
+	// the mutator slice in constructor order.
+	Sched sched.Scheduler
+
+	allowedFn func(int) bool
+	// mutArena holds the step's pool program and its manager.
+	mutArena *mutationArena
+	// flight, when attached, journals crashes, pool admissions,
+	// rewards, and quarantine churn (see AttachFlight).
+	flight FlightEmitter
+}
+
+// newStream builds the shared half of a fuzzer over a private copy of
+// seedPool.
+func newStream(name string, comp *compilersim.Compiler, mutators []*muast.Mutator,
+	seedPool []string, rng *rand.Rand) *stream {
+	pool := make([]string, len(seedPool))
+	copy(pool, seedPool)
+	s := &stream{
+		cx:         comp.NewContext(),
+		mutators:   mutators,
+		pool:       pool,
+		rng:        rng,
+		stats:      NewStats(name),
+		Quarantine: resil.NewQuarantine(DefaultQuarantine(), nil),
+		Sched:      sched.NewUniform(len(mutators)),
+		mutArena:   newMutationArena(rng),
 	}
-	return cx.Compile(src, opts)
+	s.allowedFn = s.armAllowed
+	return s
+}
+
+// armAllowed reports whether the arm's mutator is off the quarantine
+// bench — the filter handed to the scheduler each tick.
+func (s *stream) armAllowed(i int) bool {
+	return s.Quarantine.Allowed(s.mutators[i].Name)
+}
+
+// SchedState serializes the scheduler posterior (checkpointing).
+func (s *stream) SchedState() *sched.State { return s.Sched.State() }
+
+// SetSchedState restores the scheduler posterior (checkpoint resume).
+func (s *stream) SetSchedState(st *sched.State) error { return s.Sched.Restore(st) }
+
+// InstrumentSched attaches per-mutator scheduler telemetry
+// (sched_picks_total, sched_weight).
+func (s *stream) InstrumentSched(reg *obs.Registry) {
+	names := make([]string, len(s.mutators))
+	for i, mu := range s.mutators {
+		names[i] = mu.Name
+	}
+	s.Sched.Instrument(reg, names)
+}
+
+// Name returns the fuzzer's display name.
+func (s *stream) Name() string { return s.stats.Name }
+
+// Stats exposes the accounting.
+func (s *stream) Stats() *Stats { return s.stats }
+
+// PoolSize returns the current program-pool size.
+func (s *stream) PoolSize() int { return len(s.pool) }
+
+// Corpus returns a copy of the current program pool (checkpointing).
+func (s *stream) Corpus() []string {
+	out := make([]string, len(s.pool))
+	copy(out, s.pool)
+	return out
+}
+
+// SetCorpus replaces the program pool (checkpoint restore).
+func (s *stream) SetCorpus(pool []string) {
+	s.pool = make([]string, len(pool))
+	copy(s.pool, pool)
+}
+
+// manager returns mgr Reset for another try when the program it is
+// bound to is still src, or, when mgr is nil, a manager parsed from src
+// into the stream's arena.
+func (s *stream) manager(mgr *muast.Manager, src string) (*muast.Manager, error) {
+	if mgr != nil {
+		mgr.Reset()
+		return mgr, nil
+	}
+	return s.mutArena.manager(src)
+}
+
+// apply runs arm mi's mutator on src under safeApply. A fault is booked
+// (stats, a quarantine strike, a Fault reward) and an inapplicable try
+// earns a zero reward — it still counts, otherwise a never-applying arm
+// keeps its untried (+Inf) UCB score and the bandit re-picks it
+// forever. Either way ok is false.
+func (s *stream) apply(mi int, src string, mgr *muast.Manager) (mutant string, ok bool) {
+	mu := s.mutators[mi]
+	mutant, ok, faulted, fuel := safeApply(mu, src, mgr)
+	if faulted {
+		s.stats.RecordMutatorFault(mu.Name, fuel)
+		s.Quarantine.Strike(mu.Name)
+		s.Sched.Observe(mi, sched.Reward{Fault: true})
+		return "", false
+	}
+	if !ok {
+		s.Sched.Observe(mi, sched.Reward{})
+	}
+	return mutant, ok
+}
+
+// splice draws the unchecked-rewrite coin (see DefaultUncheckedRate)
+// and, when it lands under rate, splices src parsed into a. src comes
+// back unchanged when the coin or the splice fails.
+func (s *stream) splice(src string, rate float64, a *mutationArena) string {
+	if s.rng.Float64() < rate {
+		if spliced, ok := uncheckedRewriteArena(src, a); ok {
+			return spliced
+		}
+	}
+	return src
+}
+
+// compile runs the back half of a tick on mutant, produced via the
+// named mutator or Havoc chain. With static on, the compiler's front
+// end sees it first: a rejection is booked and returns the zero Result
+// without drawing anything more from the stream RNG, and an accepted
+// mutant finishes compiling from that one parse. opts is called only
+// once the mutant reaches the compiler. The result is borrowed
+// (coverage aliases context storage until the next compile); Record
+// merges the coverage, which is the copy, and a first-seen crash is
+// journaled. isNew reports edges new to the stream's own coverage.
+func (s *stream) compile(mutant, via string, static bool, opts func() compilersim.Options) (res compilersim.Result, isNew bool) {
+	if static {
+		if err := s.cx.Front(mutant); err != nil {
+			s.stats.RecordStaticReject(via, mutcheck.Classify(err))
+			return compilersim.Result{}, false
+		}
+		res = s.cx.Finish(opts())
+	} else {
+		res = s.cx.Compile(mutant, opts())
+	}
+	nCrash := len(s.stats.Crashes)
+	isNew = s.stats.Record(mutant, via, res)
+	if s.flight != nil && len(s.stats.Crashes) > nCrash {
+		emitCrash(s.flight, s.stats, res.Crash, via)
+	}
+	return res, isNew
+}
+
+// outcome is the scheduler reward for one compile result; newCoverage
+// is the fuzzer's own admission signal. A static reject's zero Result
+// reads as a compile error.
+func outcome(res compilersim.Result, newCoverage bool) sched.Reward {
+	return sched.Reward{
+		NewCoverage:  newCoverage,
+		Crash:        res.Crash != nil,
+		CompileError: !res.OK && res.Crash == nil,
+	}
 }
 
 // ---------------------------------------------------------------------
 // μCFuzz — Algorithm 1
 // ---------------------------------------------------------------------
 
+// maxMutatorTries bounds μCFuzz's inner loop: Algorithm 1 tries every
+// mutator, which we cap for throughput on large mutator sets.
+const maxMutatorTries = 8
+
 // MuCFuzz is the paper's micro coverage-guided fuzzer. Each iteration
 // picks a random pool program, shuffles the mutators, and applies them in
 // order until one produces a mutant covering a new branch, which is then
 // added back to the pool (Algorithm 1).
 type MuCFuzz struct {
-	comp     *compilersim.Compiler
-	cx       *compilersim.Context
-	opts     compilersim.Options
-	mutators []*muast.Mutator
-	pool     []string
-	rng      *rand.Rand
-	stats    *Stats
-	// MaxMutatorTries bounds the inner loop; Algorithm 1 tries every
-	// mutator, which we cap for throughput on large mutator sets.
-	MaxMutatorTries int
-	// MaxProgramSize drops runaway mutants (resource limiting).
-	MaxProgramSize int
+	*stream
 	// UncheckedRate emulates mutator fallibility (see
 	// DefaultUncheckedRate).
 	UncheckedRate float64
@@ -377,87 +541,26 @@ type MuCFuzz struct {
 	// Off by default; the mucfuzz CLI enables it (and exposes -no-static
 	// to turn it off).
 	StaticFilter bool
-	// Quarantine benches mutators that keep panicking or exhausting
-	// their fuel budget (strike/parole discipline). Per-instance and
-	// tick-driven, so it never perturbs the deterministic schedule.
-	Quarantine *resil.Quarantine
-	// Sched ranks the mutators each tick. The default Uniform policy
-	// reproduces Algorithm 1's shuffle bit-for-bit (same stream-RNG
-	// draws); swap in sched.NewAdaptive for bandit-weighted selection.
-	// Arms index into the mutator slice in constructor order.
-	Sched sched.Scheduler
 
-	allowedFn func(int) bool
-	// mutArena holds the step's pool program and its manager, alive
-	// across every try of the step; spliceArena backs the
-	// unchecked-rewrite parses that run between those tries, so the two
-	// must stay separate.
-	mutArena    *mutationArena
+	// spliceArena backs the unchecked-rewrite parses that run between
+	// the tries of a step, so it must stay apart from mutArena, which
+	// holds the step's pool program across every try.
 	spliceArena *mutationArena
-	// flight, when attached, journals crashes, pool admissions,
-	// rewards, and quarantine churn (see AttachFlight).
-	flight FlightEmitter
 }
 
 // NewMuCFuzz builds a μCFuzz instance over the given mutator set.
 func NewMuCFuzz(name string, comp *compilersim.Compiler, mutators []*muast.Mutator,
 	seedPool []string, rng *rand.Rand) *MuCFuzz {
-	pool := make([]string, len(seedPool))
-	copy(pool, seedPool)
-	f := &MuCFuzz{
-		comp:            comp,
-		cx:              comp.NewContext(),
-		opts:            compilersim.DefaultOptions(),
-		mutators:        mutators,
-		pool:            pool,
-		rng:             rng,
-		stats:           NewStats(name),
-		MaxMutatorTries: 8,
-		MaxProgramSize:  1 << 16,
-		UncheckedRate:   DefaultUncheckedRate,
-		Quarantine:      resil.NewQuarantine(DefaultQuarantine(), nil),
-		Sched:           sched.NewUniform(len(mutators)),
-		mutArena:        newMutationArena(rng),
-		spliceArena:     newMutationArena(rng),
+	return &MuCFuzz{
+		stream:        newStream(name, comp, mutators, seedPool, rng),
+		UncheckedRate: DefaultUncheckedRate,
+		spliceArena:   newMutationArena(rng),
 	}
-	f.allowedFn = f.armAllowed
-	return f
 }
-
-// armAllowed reports whether the arm's mutator is off the quarantine
-// bench — the filter handed to the scheduler each tick.
-func (f *MuCFuzz) armAllowed(i int) bool {
-	return f.Quarantine.Allowed(f.mutators[i].Name)
-}
-
-// SchedState serializes the scheduler posterior (checkpointing).
-func (f *MuCFuzz) SchedState() *sched.State { return f.Sched.State() }
-
-// SetSchedState restores the scheduler posterior (checkpoint resume).
-func (f *MuCFuzz) SetSchedState(st *sched.State) error { return f.Sched.Restore(st) }
-
-// InstrumentSched attaches per-mutator scheduler telemetry
-// (sched_picks_total, sched_weight).
-func (f *MuCFuzz) InstrumentSched(reg *obs.Registry) {
-	names := make([]string, len(f.mutators))
-	for i, mu := range f.mutators {
-		names[i] = mu.Name
-	}
-	f.Sched.Instrument(reg, names)
-}
-
-// Name returns the fuzzer's display name.
-func (f *MuCFuzz) Name() string { return f.stats.Name }
-
-// Stats exposes the accounting.
-func (f *MuCFuzz) Stats() *Stats { return f.stats }
-
-// PoolSize returns the current program-pool size.
-func (f *MuCFuzz) PoolSize() int { return len(f.pool) }
 
 // Step runs one iteration of Algorithm 1: it stops after the first
 // mutant that covers a new branch (adding it to the pool), or after
-// MaxMutatorTries mutants.
+// maxMutatorTries mutants.
 func (f *MuCFuzz) Step() {
 	f.Quarantine.Tick()
 	if len(f.pool) == 0 {
@@ -478,66 +581,28 @@ func (f *MuCFuzz) Step() {
 	// recycles it between tries.
 	var mgr *muast.Manager
 	for _, mi := range order {
-		if tries >= f.MaxMutatorTries {
+		if tries >= maxMutatorTries {
 			return
 		}
 		mu := f.mutators[mi]
 		if !f.Quarantine.Allowed(mu.Name) {
 			continue // benched offender; costs nothing, like inapplicable
 		}
-		if mgr == nil {
-			var err error
-			mgr, err = f.mutArena.manager(p)
-			if err != nil {
-				return // pool entry no longer parses (should not happen)
-			}
-		} else {
-			mgr.Reset()
+		var err error
+		if mgr, err = f.manager(mgr, p); err != nil {
+			return // pool entry no longer parses (should not happen)
 		}
-		mutant, ok, faulted, fuel := safeApply(mu, p, mgr)
-		if faulted {
-			f.stats.RecordMutatorFault(mu.Name, fuel)
-			f.Quarantine.Strike(mu.Name)
-			f.Sched.Observe(mi, sched.Reward{Fault: true})
-			continue
-		}
+		mutant, ok := f.apply(mi, p, mgr)
 		if !ok {
-			// Not applicable to this program: zero reward, but the try
-			// still counts — otherwise a never-applying arm keeps its
-			// untried (+Inf) UCB score and the bandit re-picks it forever.
-			f.Sched.Observe(mi, sched.Reward{})
 			continue // try the next (free)
 		}
-		if f.rng.Float64() < f.UncheckedRate {
-			if spliced, sok := uncheckedRewriteArena(mutant, f.spliceArena); sok {
-				mutant = spliced
-			}
-		}
-		if len(mutant) > f.MaxProgramSize {
+		mutant = f.splice(mutant, f.UncheckedRate, f.spliceArena)
+		if len(mutant) > maxProgramSize {
 			continue
 		}
 		tries++
-		if f.StaticFilter {
-			if err := f.cx.Front(mutant); err != nil {
-				f.stats.RecordStaticReject(mu.Name, mutcheck.Classify(err))
-				f.Sched.Observe(mi, sched.Reward{CompileError: true})
-				continue
-			}
-		}
-		nCrash := len(f.stats.Crashes)
-		// Compile through the per-stream context: the result is borrowed
-		// (coverage aliases context storage until the next compile), and
-		// Stats.Record merges the coverage immediately, which is the copy.
-		res := compileMutant(f.cx, mutant, f.opts, f.StaticFilter)
-		isNew := f.stats.Record(mutant, mu.Name, res)
-		if f.flight != nil && len(f.stats.Crashes) > nCrash {
-			emitCrash(f.flight, f.stats, res.Crash, mu.Name)
-		}
-		f.Sched.Observe(mi, sched.Reward{
-			NewCoverage:  isNew,
-			Crash:        res.Crash != nil,
-			CompileError: !res.OK && res.Crash == nil,
-		})
+		res, isNew := f.compile(mutant, mu.Name, f.StaticFilter, compilersim.DefaultOptions)
+		f.Sched.Observe(mi, outcome(res, isNew))
 		if f.Blind {
 			// Ablation: no coverage feedback; admit a fixed fraction.
 			if res.OK && f.rng.Float64() < 0.05 {
@@ -562,49 +627,11 @@ func (f *MuCFuzz) Step() {
 
 // CoverageSink is where a macro worker publishes each compilation's
 // coverage and learns whether it found anything new — the pool-admission
-// signal. The campaign engine swaps in per-epoch views that satisfy
-// this interface; standalone workers use a SharedCoverage.
+// signal. The campaign engine hands each stream its per-epoch view,
+// which satisfies this interface.
 type CoverageSink interface {
 	// MergeIfNew merges m and reports whether it contained unseen edges.
 	MergeIfNew(m *cover.Map) bool
-}
-
-// SharedCoverage is the cross-goroutine coverage map of the macro
-// fuzzer (enhancement #3 in Section 3.4) for workers running outside
-// the campaign engine: one mutex over one map.
-type SharedCoverage struct {
-	mu sync.Mutex
-	m  cover.Map
-}
-
-// NewSharedCoverage returns an empty shared map.
-func NewSharedCoverage() *SharedCoverage {
-	return &SharedCoverage{}
-}
-
-// MergeIfNew merges m and reports whether it contained unseen edges.
-func (s *SharedCoverage) MergeIfNew(m *cover.Map) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.m.HasNew(m) {
-		return false
-	}
-	s.m.Merge(m)
-	return true
-}
-
-// Count returns the number of covered edges.
-func (s *SharedCoverage) Count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.Count()
-}
-
-// Snapshot copies the current shared map (reporting).
-func (s *SharedCoverage) Snapshot() *cover.Map {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.m.Clone()
 }
 
 // MacroConfig tunes the macro fuzzer's enhancements.
@@ -612,11 +639,6 @@ type MacroConfig struct {
 	// HavocMax is the maximum number of mutation rounds applied per
 	// mutant (enhancement #2).
 	HavocMax int
-	// SampleFlags enables random compiler-command-line sampling
-	// (enhancement #1).
-	SampleFlags bool
-	// MaxProgramSize is the resource limit (enhancement #4).
-	MaxProgramSize int
 	// UncheckedRate emulates mutator fallibility (see
 	// DefaultUncheckedRate).
 	UncheckedRate float64
@@ -627,90 +649,32 @@ type MacroConfig struct {
 
 // DefaultMacroConfig mirrors the long-running campaign settings.
 func DefaultMacroConfig() MacroConfig {
-	return MacroConfig{HavocMax: 4, SampleFlags: true, MaxProgramSize: 1 << 16,
-		UncheckedRate: DefaultUncheckedRate}
+	return MacroConfig{HavocMax: 4, UncheckedRate: DefaultUncheckedRate}
 }
 
 // MacroFuzzer is the long-term bug-hunting fuzzer of Section 3.4.
 type MacroFuzzer struct {
-	comp     *compilersim.Compiler
-	cx       *compilersim.Context
-	mutators []*muast.Mutator
-	pool     []string
-	rng      *rand.Rand
-	stats    *Stats
-	shared   CoverageSink
-	cfg      MacroConfig
-	// Quarantine benches panicking/fuel-exhausting mutators (see
-	// MuCFuzz.Quarantine).
-	Quarantine *resil.Quarantine
-	// Sched picks the mutator for each havoc round (see MuCFuzz.Sched);
-	// the default Uniform policy reproduces the legacy rng.Intn draw.
-	Sched sched.Scheduler
-
-	allowedFn func(int) bool
-	armBuf    []int // applied-arm scratch, reused across steps
-	// mutArena backs every havoc round's parse and the unchecked-rewrite
-	// splice: each manager is dead before the next parse, so one arena
-	// serves the whole step.
-	mutArena *mutationArena
-	// flight, when attached, journals crashes, pool admissions,
-	// rewards, and quarantine churn (see AttachFlight).
-	flight FlightEmitter
+	*stream
+	shared CoverageSink
+	cfg    MacroConfig
+	armBuf []int // applied-arm scratch, reused across steps
 }
 
 // NewMacroFuzzer builds a macro fuzzer worker; workers on the same
-// compiler share coverage via shared (nil disables pool admission until
-// a sink is attached with SetCoverage).
+// compiler share coverage via shared (nil disables pool admission).
+// Every havoc round's parse and the unchecked-rewrite splice share the
+// stream's one arena: each manager is dead before the next parse.
 func NewMacroFuzzer(name string, comp *compilersim.Compiler,
 	mutators []*muast.Mutator, seedPool []string, rng *rand.Rand,
 	shared CoverageSink, cfg MacroConfig) *MacroFuzzer {
-	pool := make([]string, len(seedPool))
-	copy(pool, seedPool)
-	f := &MacroFuzzer{
-		comp: comp, cx: comp.NewContext(),
-		mutators: mutators, pool: pool, rng: rng,
-		stats: NewStats(name), shared: shared, cfg: cfg,
-		Quarantine: resil.NewQuarantine(DefaultQuarantine(), nil),
-		Sched:      sched.NewUniform(len(mutators)),
-		mutArena:   newMutationArena(rng),
+	return &MacroFuzzer{
+		stream: newStream(name, comp, mutators, seedPool, rng),
+		shared: shared, cfg: cfg,
 	}
-	f.allowedFn = f.armAllowed
-	return f
 }
-
-// armAllowed reports whether the arm's mutator is off the quarantine
-// bench.
-func (f *MacroFuzzer) armAllowed(i int) bool {
-	return f.Quarantine.Allowed(f.mutators[i].Name)
-}
-
-// SchedState serializes the scheduler posterior (checkpointing).
-func (f *MacroFuzzer) SchedState() *sched.State { return f.Sched.State() }
-
-// SetSchedState restores the scheduler posterior (checkpoint resume).
-func (f *MacroFuzzer) SetSchedState(st *sched.State) error { return f.Sched.Restore(st) }
-
-// InstrumentSched attaches per-mutator scheduler telemetry.
-func (f *MacroFuzzer) InstrumentSched(reg *obs.Registry) {
-	names := make([]string, len(f.mutators))
-	for i, mu := range f.mutators {
-		names[i] = mu.Name
-	}
-	f.Sched.Instrument(reg, names)
-}
-
-// Name returns the worker's name.
-func (f *MacroFuzzer) Name() string { return f.stats.Name }
-
-// Stats exposes the accounting.
-func (f *MacroFuzzer) Stats() *Stats { return f.stats }
 
 // sampleOptions draws a random compiler command line (enhancement #1).
 func (f *MacroFuzzer) sampleOptions() compilersim.Options {
-	if !f.cfg.SampleFlags {
-		return compilersim.DefaultOptions()
-	}
 	opts := compilersim.Options{OptLevel: f.rng.Intn(4)}
 	flagPool := []string{"loopvec", "strbuiltin", "cse", "simplify", "dce"}
 	for _, fl := range flagPool {
@@ -749,28 +713,15 @@ func (f *MacroFuzzer) Step() {
 		if !f.Quarantine.Allowed(mu.Name) {
 			continue // benched offender; the round is spent, like a no-op
 		}
-		if mgr == nil {
-			var err error
-			if mgr, err = f.mutArena.manager(cur); err != nil {
-				break // intermediate mutant went invalid; stop stacking
-			}
-		} else {
-			mgr.Reset()
+		var err error
+		if mgr, err = f.manager(mgr, cur); err != nil {
+			break // intermediate mutant went invalid; stop stacking
 		}
-		mutant, ok, faulted, fuel := safeApply(mu, cur, mgr)
-		if faulted {
-			f.stats.RecordMutatorFault(mu.Name, fuel)
-			f.Quarantine.Strike(mu.Name)
-			f.Sched.Observe(mi, sched.Reward{Fault: true})
-			continue
-		}
+		mutant, ok := f.apply(mi, cur, mgr)
 		if !ok {
-			// Zero reward so the arm's untried (+Inf) UCB score decays;
-			// see the μCFuzz counterpart.
-			f.Sched.Observe(mi, sched.Reward{})
 			continue
 		}
-		if len(mutant) > f.cfg.MaxProgramSize {
+		if len(mutant) > maxProgramSize {
 			break // resource limit: drop oversized offspring
 		}
 		cur = mutant
@@ -785,32 +736,11 @@ func (f *MacroFuzzer) Step() {
 	if cur == p {
 		return
 	}
-	if f.rng.Float64() < f.cfg.UncheckedRate {
-		if spliced, sok := uncheckedRewriteArena(cur, f.mutArena); sok {
-			cur = spliced
-		}
-	}
-	if f.cfg.StaticFilter {
-		if err := f.cx.Front(cur); err != nil {
-			f.stats.RecordStaticReject(via, mutcheck.Classify(err))
-			for _, mi := range applied {
-				f.Sched.Observe(mi, sched.Reward{CompileError: true})
-			}
-			return
-		}
-	}
-	nCrash := len(f.stats.Crashes)
-	// Per-stream context compile; the borrowed coverage is merged by
-	// Record and by the shared sink below before the next compile. The
-	// flags are drawn only for a mutant that reaches the compiler: a
-	// statically rejected one draws nothing from the stream RNG.
+	cur = f.splice(cur, f.cfg.UncheckedRate, f.mutArena)
+	// The flags are drawn only for a mutant that reaches the compiler.
 	// Reward observation is NOT batched here: Pick reads the posterior
 	// every havoc round, so deferring Observe would change the picks.
-	res := compileMutant(f.cx, cur, f.sampleOptions(), f.cfg.StaticFilter)
-	f.stats.Record(cur, via, res)
-	if f.flight != nil && len(f.stats.Crashes) > nCrash {
-		emitCrash(f.flight, f.stats, res.Crash, via)
-	}
+	res, _ := f.compile(cur, via, f.cfg.StaticFilter, f.sampleOptions)
 	admitted := res.OK && f.shared != nil && f.shared.MergeIfNew(res.Coverage)
 	if admitted {
 		f.pool = append(f.pool, cur)
@@ -818,50 +748,10 @@ func (f *MacroFuzzer) Step() {
 			emitAdmission(f.flight, f.stats, via, len(f.pool))
 		}
 	}
-	// The single end-of-step compile outcome is attributed to every
-	// mutator in the havoc chain.
-	rw := sched.Reward{
-		NewCoverage:  admitted,
-		Crash:        res.Crash != nil,
-		CompileError: !res.OK && res.Crash == nil,
-	}
+	// The single end-of-step outcome (a static reject included) is
+	// attributed to every mutator in the havoc chain.
+	rw := outcome(res, admitted)
 	for _, mi := range applied {
 		f.Sched.Observe(mi, rw)
 	}
-}
-
-// Corpus returns a copy of the worker's current program pool
-// (checkpointing).
-func (f *MacroFuzzer) Corpus() []string {
-	out := make([]string, len(f.pool))
-	copy(out, f.pool)
-	return out
-}
-
-// SetCorpus replaces the program pool (checkpoint restore).
-func (f *MacroFuzzer) SetCorpus(pool []string) {
-	f.pool = make([]string, len(pool))
-	copy(f.pool, pool)
-}
-
-// PoolSize returns the current program-pool size.
-func (f *MacroFuzzer) PoolSize() int { return len(f.pool) }
-
-// Coverage returns the worker's current coverage sink.
-func (f *MacroFuzzer) Coverage() CoverageSink { return f.shared }
-
-// SetCoverage swaps the coverage sink.
-func (f *MacroFuzzer) SetCoverage(sink CoverageSink) { f.shared = sink }
-
-// Corpus returns a copy of μCFuzz's current program pool.
-func (f *MuCFuzz) Corpus() []string {
-	out := make([]string, len(f.pool))
-	copy(out, f.pool)
-	return out
-}
-
-// SetCorpus replaces μCFuzz's program pool (checkpoint restore).
-func (f *MuCFuzz) SetCorpus(pool []string) {
-	f.pool = make([]string, len(pool))
-	copy(f.pool, pool)
 }

@@ -2,8 +2,10 @@ package fuzz
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
+	"github.com/icsnju/metamut-go/internal/cast"
 	"github.com/icsnju/metamut-go/internal/compilersim"
 	"github.com/icsnju/metamut-go/internal/compilersim/cover"
 	"github.com/icsnju/metamut-go/internal/muast"
@@ -116,7 +118,7 @@ func TestCrashTimelineMonotonic(t *testing.T) {
 
 func TestMacroFuzzerHavocAndFlags(t *testing.T) {
 	comp := compilersim.New("gcc", 14)
-	shared := NewSharedCoverage()
+	shared := &testSink{}
 	var workers []*MacroFuzzer
 	for i := 0; i < 4; i++ {
 		workers = append(workers, NewMacroFuzzer("macro", comp, muast.All(),
@@ -135,7 +137,7 @@ func TestMacroFuzzerHavocAndFlags(t *testing.T) {
 	if total == 0 {
 		t.Fatal("macro fuzzer produced nothing")
 	}
-	if shared.Count() == 0 {
+	if shared.m.Count() == 0 {
 		t.Fatal("shared coverage empty")
 	}
 	merged := NewStats("merged")
@@ -143,15 +145,19 @@ func TestMacroFuzzerHavocAndFlags(t *testing.T) {
 		merged.MergeFrom(w.Stats())
 	}
 	t.Logf("macro: %d mutants, %d shared edges, %d unique crashes",
-		total, shared.Count(), len(merged.Crashes))
+		total, shared.m.Count(), len(merged.Crashes))
 }
 
 func TestMacroResourceLimit(t *testing.T) {
 	comp := compilersim.New("gcc", 14)
-	cfg := DefaultMacroConfig()
-	cfg.MaxProgramSize = 64 // absurdly small: everything oversized
-	f := NewMacroFuzzer("macro", comp, muast.All(), testPool(t, 5),
-		rand.New(rand.NewSource(1)), NewSharedCoverage(), cfg)
+	// A pool program past the resource limit: the padding comment is
+	// trivia no mutator touches, so every offspring stays oversized.
+	big := "/*" + strings.Repeat("x", maxProgramSize) + "*/\n" + testPool(t, 1)[0]
+	if _, err := cast.ParseAndCheck(big); err != nil {
+		t.Fatalf("padded pool program does not parse: %v", err)
+	}
+	f := NewMacroFuzzer("macro", comp, muast.All(), []string{big},
+		rand.New(rand.NewSource(1)), &testSink{}, DefaultMacroConfig())
 	for i := 0; i < 50; i++ {
 		f.Step()
 	}
@@ -161,6 +167,18 @@ func TestMacroResourceLimit(t *testing.T) {
 }
 
 func newEmptyCov() *cover.Map { return cover.NewMap() }
+
+// testSink is a single-goroutine CoverageSink over one map; inside a
+// campaign the engine's per-epoch view plays this role.
+type testSink struct{ m cover.Map }
+
+func (s *testSink) MergeIfNew(m *cover.Map) bool {
+	if !s.m.HasNew(m) {
+		return false
+	}
+	s.m.Merge(m)
+	return true
+}
 
 func TestStaticFilterSavesTicks(t *testing.T) {
 	comp := compilersim.New("gcc", 14)

@@ -23,7 +23,7 @@ func TestHavocAdvantage(t *testing.T) {
 		cfg := DefaultMacroConfig()
 		cfg.HavocMax = havocMax
 		w := NewMacroFuzzer("m", comp, muast.All(), pool,
-			rand.New(rand.NewSource(seed)), NewSharedCoverage(), cfg)
+			rand.New(rand.NewSource(seed)), &testSink{}, cfg)
 		for w.Stats().Ticks < 3000 {
 			w.Step()
 		}

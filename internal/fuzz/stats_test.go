@@ -44,32 +44,11 @@ func TestStatsRecordAccounting(t *testing.T) {
 	}
 }
 
-func TestSharedCoverageConcurrent(t *testing.T) {
-	shared := NewSharedCoverage()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 200; i++ {
-				m := cover.NewMap()
-				m.Set(rng.Uint32())
-				shared.MergeIfNew(m)
-			}
-		}(int64(w))
-	}
-	wg.Wait()
-	if shared.Count() == 0 {
-		t.Fatal("no edges merged")
-	}
-}
-
 func TestMacroFlagSampling(t *testing.T) {
 	comp := compilersim.New("gcc", 14)
 	cfg := DefaultMacroConfig()
 	f := NewMacroFuzzer("m", comp, muast.All(), seeds.Generate(10, 1),
-		rand.New(rand.NewSource(3)), NewSharedCoverage(), cfg)
+		rand.New(rand.NewSource(3)), &testSink{}, cfg)
 	levels := map[int]int{}
 	disabled := 0
 	for i := 0; i < 400; i++ {
@@ -84,16 +63,6 @@ func TestMacroFlagSampling(t *testing.T) {
 	}
 	if disabled == 0 {
 		t.Error("pass-disabling flags never sampled")
-	}
-	// With sampling disabled, options are fixed.
-	cfg.SampleFlags = false
-	f2 := NewMacroFuzzer("m2", comp, muast.All(), seeds.Generate(10, 1),
-		rand.New(rand.NewSource(3)), NewSharedCoverage(), cfg)
-	for i := 0; i < 20; i++ {
-		o := f2.sampleOptions()
-		if o.OptLevel != 2 || len(o.DisabledPasses) != 0 {
-			t.Fatalf("fixed options expected, got %+v", o)
-		}
 	}
 }
 
@@ -263,7 +232,7 @@ func TestCorpusRoundTrip(t *testing.T) {
 	comp := compilersim.New("gcc", 14)
 	pool := seeds.Generate(5, 1)
 	f := NewMacroFuzzer("m", comp, muast.All(), pool,
-		rand.New(rand.NewSource(2)), NewSharedCoverage(), DefaultMacroConfig())
+		rand.New(rand.NewSource(2)), &testSink{}, DefaultMacroConfig())
 	got := f.Corpus()
 	if !reflect.DeepEqual(got, pool) {
 		t.Fatal("Corpus does not reflect the seed pool")
@@ -287,22 +256,19 @@ func TestCorpusRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSetCoverageSwapsSink(t *testing.T) {
+// TestNilSinkDisablesAdmission steps a macro worker with no coverage
+// sink: the pool never grows, and nothing panics.
+func TestNilSinkDisablesAdmission(t *testing.T) {
 	comp := compilersim.New("gcc", 14)
-	shared := NewSharedCoverage()
 	f := NewMacroFuzzer("m", comp, muast.All(), seeds.Generate(5, 1),
-		rand.New(rand.NewSource(2)), shared, DefaultMacroConfig())
-	if f.Coverage() != CoverageSink(shared) {
-		t.Fatal("Coverage does not return the constructor sink")
-	}
-	repl := NewSharedCoverage()
-	f.SetCoverage(repl)
-	if f.Coverage() != CoverageSink(repl) {
-		t.Fatal("SetCoverage did not swap the sink")
-	}
-	// A nil sink disables pool admission but must not panic.
-	f.SetCoverage(nil)
+		rand.New(rand.NewSource(2)), nil, DefaultMacroConfig())
 	for i := 0; i < 30; i++ {
 		f.Step()
+	}
+	if f.Stats().Total == 0 {
+		t.Fatal("no mutant reached the compiler")
+	}
+	if f.PoolSize() != 5 {
+		t.Errorf("pool size = %d, want the 5 seeds (nil sink admits nothing)", f.PoolSize())
 	}
 }

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"context"
-	"time"
-)
+import "time"
 
 // Span measures one pipeline stage. Ending a span records its duration
 // into the span_seconds{span} histogram and, when a journal is
@@ -11,37 +8,18 @@ import (
 // per-invocation stages (invent, synthesize, refine) but are not meant
 // for the per-tick fuzzing hot path — counters cover that.
 type Span struct {
-	reg    *Registry
-	name   string
-	parent string
-	start  time.Time
+	reg   *Registry
+	name  string
+	start time.Time
 }
 
-type spanCtxKey struct{}
-
-// StartSpan begins a named span, deriving the parent from ctx (if a
-// span is already active there) and returning a ctx carrying the new
-// span. Safe on a nil registry: the returned span no-ops.
-func (r *Registry) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	if r == nil {
-		return ctx, nil
-	}
-	parent := ""
-	if ctx != nil {
-		if p, ok := ctx.Value(spanCtxKey{}).(*Span); ok && p != nil {
-			parent = p.name
-		}
-	} else {
-		ctx = context.Background()
-	}
-	sp := &Span{reg: r, name: name, parent: parent, start: time.Now()}
-	return context.WithValue(ctx, spanCtxKey{}, sp), sp
-}
-
-// Span is the context-free shorthand for StartSpan.
+// Span begins a named span. Safe on a nil registry: the returned span
+// no-ops.
 func (r *Registry) Span(name string) *Span {
-	_, sp := r.StartSpan(nil, name)
-	return sp
+	if r == nil {
+		return nil
+	}
+	return &Span{reg: r, name: name, start: time.Now()}
 }
 
 // End completes the span and returns its duration (0 on nil).
@@ -58,14 +36,11 @@ func (s *Span) EndWith(fields map[string]any) time.Duration {
 	d := time.Since(s.start)
 	s.reg.Histogram("span_seconds", nil, "span").With(s.name).Observe(d.Seconds())
 	if j := s.reg.Journal(); j != nil {
-		rec := make(map[string]any, len(fields)+3)
+		rec := make(map[string]any, len(fields)+2)
 		for k, v := range fields {
 			rec[k] = v
 		}
 		rec["span"] = s.name
-		if s.parent != "" {
-			rec["parent"] = s.parent
-		}
 		rec["dur_us"] = d.Microseconds()
 		j.Event("span", rec)
 	}
