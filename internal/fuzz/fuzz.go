@@ -374,12 +374,9 @@ type stream struct {
 // seedPool.
 func newStream(name string, comp *compilersim.Compiler, mutators []*muast.Mutator,
 	seedPool []string, rng *rand.Rand) *stream {
-	pool := make([]string, len(seedPool))
-	copy(pool, seedPool)
 	s := &stream{
 		cx:         comp.NewContext(),
 		mutators:   mutators,
-		pool:       pool,
 		rng:        rng,
 		stats:      NewStats(name),
 		Quarantine: resil.NewQuarantine(DefaultQuarantine(), nil),
@@ -387,6 +384,7 @@ func newStream(name string, comp *compilersim.Compiler, mutators []*muast.Mutato
 		mutArena:   newMutationArena(rng),
 	}
 	s.allowedFn = s.armAllowed
+	s.SetCorpus(seedPool)
 	return s
 }
 
