@@ -139,12 +139,15 @@ chaos-smoke:
 # flight-smoke proves the flight recorder end to end: a chaos campaign
 # with the live console up, polled over HTTP (JSON snapshot + a taste of
 # the SSE feed) while it runs, then the journal replayed through the
-# post-campaign reporter — and the chaos retries must have tripped at
-# least one watchdog anomaly into the journal.
+# post-campaign reporter joined with the campaign's metrics snapshot —
+# the report must carry the wall-clock stage-latency table, and the
+# chaos retries must have tripped at least one watchdog anomaly into
+# the journal.
 flight-smoke:
 	@rm -rf .flight-smoke && mkdir .flight-smoke
 	$(GO) run ./cmd/mucfuzz -macro -streams 16 -steps 12000 -workers 4 \
 		-chaos 99 -flight .flight-smoke/flight.jsonl \
+		-metrics-out .flight-smoke/m.json \
 		-debug-addr 127.0.0.1:6161 & \
 	pid=$$!; \
 	up=0; for i in $$(seq 1 100); do \
@@ -159,7 +162,13 @@ flight-smoke:
 	[ "$$up" = 1 ] || { echo "flight-smoke: console never came up"; exit 1; }
 	grep -q '"campaign"' .flight-smoke/console.json
 	$(GO) run ./cmd/experiments -run flightreport \
-		-flight-journal .flight-smoke/flight.jsonl
+		-flight-journal .flight-smoke/flight.jsonl \
+		-flight-metrics .flight-smoke/m.json > .flight-smoke/report.txt
+	cat .flight-smoke/report.txt
+	grep -q 'stage latency' .flight-smoke/report.txt || \
+		{ echo "flight-smoke: report has no stage-latency table"; exit 1; }
+	grep -q 'span_seconds' .flight-smoke/m.json || \
+		{ echo "flight-smoke: metrics snapshot has no span_seconds"; exit 1; }
 	grep -q '"kind":"anomaly"' .flight-smoke/flight.jsonl || \
 		{ echo "flight-smoke: chaos raised no watchdog anomaly"; exit 1; }
 	@rm -rf .flight-smoke

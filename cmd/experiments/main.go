@@ -26,9 +26,9 @@
 // before exiting — and -triage-out DIR writes the ranked per-compiler
 // triage reports as JSON (-triage-reduce also minimizes each witness).
 //
-// Observability: -metrics-out/-trace-out write a final JSON metrics
-// snapshot and a JSONL span journal (one span per experiment);
-// -debug-addr serves /debug/metrics and /debug/pprof while running.
+// Observability: -metrics-out writes a final JSON metrics snapshot,
+// with one span_seconds series per experiment; -debug-addr serves
+// /debug/metrics and /debug/pprof while running.
 //
 // flightreport is the post-campaign reporter: it replays a flight
 // journal written by `mucfuzz -flight` into a human-readable report

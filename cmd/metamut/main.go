@@ -9,9 +9,9 @@
 //	metamut -n 100 -no-static  # ablation: dynamic-only validation loop
 //
 // Observability: -stats-interval N prints a live status line every N
-// invocations; -metrics-out/-trace-out write the final JSON snapshot
-// and the JSONL span journal; -debug-addr serves /debug/metrics and
-// /debug/pprof while the campaign runs.
+// invocations; -metrics-out writes the final JSON snapshot, stage
+// timings included (span_seconds); -debug-addr serves /debug/metrics
+// and /debug/pprof while the campaign runs.
 //
 // Fault tolerance: the model client runs behind a circuit breaker —
 // -breaker-threshold consecutive throttles open it, calls are then
@@ -86,18 +86,10 @@ func main() {
 	rec.Instrument(reg)
 	var client llm.Client = rec
 	if *breakerTh > 0 {
-		br := resil.NewBreaker(resil.BreakerConfig{
+		client = llm.Guard(rec, resil.NewBreaker(resil.BreakerConfig{
 			FailureThreshold: *breakerTh,
 			Cooldown:         *breakerCd,
-		}, reg)
-		// Journal breaker transitions alongside the span trace so a
-		// post-mortem can see exactly when the model client degraded.
-		br.SetTransitionHook(func(from, to resil.State) {
-			reg.Journal().Event("breaker", map[string]any{
-				"from": from.String(), "to": to.String(),
-			})
-		})
-		client = llm.Guard(rec, br)
+		}, reg))
 	}
 	fw := core.New(client, *seed+1)
 	fw.Obs = reg
@@ -116,7 +108,7 @@ func main() {
 				i, valid, u.TotalTokens(), u.Wait.Round(1e9))
 		}
 	})
-	sp.EndWith(map[string]any{"invocations": *n, "valid": valid})
+	sp.End()
 
 	for i, r := range results {
 		if !*verbose {

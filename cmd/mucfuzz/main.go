@@ -24,12 +24,12 @@
 //
 // Observability: -stats-interval N prints a live status line every N
 // steps (throughput EMAs, ETA from the remaining budget, stall flag);
-// -metrics-out/-trace-out write the final JSON snapshot and the JSONL
-// span journal; -debug-addr serves /debug/metrics, /debug/pprof, and —
+// -metrics-out writes the final JSON snapshot, stage timings included
+// (span_seconds); -debug-addr serves /debug/metrics, /debug/pprof, and —
 // when the flight recorder is on — /debug/campaign (live JSON console)
 // plus /debug/campaign/stream (SSE journal feed).
 //
-//	mucfuzz -steps 2000 -stats-interval 500 -metrics-out m.json -trace-out t.jsonl
+//	mucfuzz -steps 2000 -stats-interval 500 -metrics-out m.json
 //
 // Flight recorder: -flight FILE journals every significant campaign
 // event (barriers, checkpoints, mutator rewards, quarantine churn,
@@ -92,6 +92,27 @@ import (
 	"github.com/icsnju/metamut-go/internal/serve"
 )
 
+// The flags live at package level so that the lists below can be
+// checked against the flags actually registered.
+var (
+	spec      = serve.BindFlags(flag.CommandLine)
+	macro     = flag.Bool("macro", false, "run the macro fuzzer instead of μCFuzz")
+	workers   = flag.Int("workers", 0, "macro campaign: goroutines executing the streams (0 = GOMAXPROCS; does not change results)")
+	ckpt      = flag.String("checkpoint", "", "macro campaign: snapshot file, written every -checkpoint-every epochs and on SIGINT")
+	ckptEvery = flag.Int("checkpoint-every", 8, "macro campaign: epochs between snapshots")
+	resume    = flag.String("resume", "", "macro campaign: resume the campaign in this snapshot file (and keep checkpointing there)")
+	triageOut = flag.String("triage-out", "", "macro campaign: write the ranked triage report as JSON here")
+	lint      = flag.Bool("lint", false, "statically analyze the seed corpus plus sampled mutants and exit")
+	chaosSeed = flag.Int64("chaos", 0, "macro campaign: arm the deterministic chaos harness with this fault seed (0 = off)")
+	flightOut = flag.String("flight", "", "write the flight journal (JSONL, logical time only) to this file")
+	flightMax = flag.Int64("flight-max-bytes", 64<<20, "rotate the flight journal after this many bytes (0 = unbounded)")
+	flightRep = flag.Bool("flight-report", false, "print the replayed flight report at exit")
+	flightBas = flag.String("flight-baseline", "", "BENCH_sched.json file arming the throughput-regression watchdog")
+	submitTo  = flag.String("submit", "", "delegate the macro campaign to a mucfuzzd daemon at this address instead of running locally")
+	tenant    = flag.String("tenant", "cli", "tenant id for -submit")
+	cli       = obs.BindCLIFlags()
+)
+
 // engineFlags configure the local engine campaign; μCFuzz runs one
 // stream with no engine, checkpoint or triage pipeline.
 var engineFlags = []string{"streams", "workers", "checkpoint", "checkpoint-every",
@@ -101,7 +122,7 @@ var engineFlags = []string{"streams", "workers", "checkpoint", "checkpoint-every
 // the campaign and none of them reaches it.
 var localFlags = []string{"workers", "checkpoint", "checkpoint-every", "resume",
 	"chaos", "triage-out", "lint", "flight", "flight-max-bytes", "flight-report",
-	"flight-baseline", "stats-interval", "metrics-out", "trace-out", "debug-addr"}
+	"flight-baseline", "stats-interval", "metrics-out", "debug-addr"}
 
 // snapshotFlags name what the snapshot owns on -resume: the campaign
 // identity and, through the restored corpora, the seed pool.
@@ -172,12 +193,6 @@ func checkFlags(given map[string]string, exists func(path string) bool) error {
 	return nil
 }
 
-// checkpointExists reports whether a checkpoint generation — the file
-// or its rotated .prev — is on disk at path.
-func checkpointExists(path string) bool {
-	return durable.Exists(path)
-}
-
 func usageErr(err error) {
 	fmt.Fprintln(os.Stderr, "mucfuzz:", err)
 	os.Exit(2)
@@ -189,28 +204,10 @@ func fatal(err error) {
 }
 
 func main() {
-	spec := serve.BindFlags(flag.CommandLine)
-	var (
-		macro     = flag.Bool("macro", false, "run the macro fuzzer instead of μCFuzz")
-		workers   = flag.Int("workers", 0, "macro campaign: goroutines executing the streams (0 = GOMAXPROCS; does not change results)")
-		ckpt      = flag.String("checkpoint", "", "macro campaign: snapshot file, written every -checkpoint-every epochs and on SIGINT")
-		ckptEvery = flag.Int("checkpoint-every", 8, "macro campaign: epochs between snapshots")
-		resume    = flag.String("resume", "", "macro campaign: resume the campaign in this snapshot file (and keep checkpointing there)")
-		triageOut = flag.String("triage-out", "", "macro campaign: write the ranked triage report as JSON here")
-		lint      = flag.Bool("lint", false, "statically analyze the seed corpus plus sampled mutants and exit")
-		chaosSeed = flag.Int64("chaos", 0, "macro campaign: arm the deterministic chaos harness with this fault seed (0 = off)")
-		flightOut = flag.String("flight", "", "write the flight journal (JSONL, logical time only) to this file")
-		flightMax = flag.Int64("flight-max-bytes", 64<<20, "rotate the flight journal after this many bytes (0 = unbounded)")
-		flightRep = flag.Bool("flight-report", false, "print the replayed flight report at exit")
-		flightBas = flag.String("flight-baseline", "", "BENCH_sched.json file arming the throughput-regression watchdog")
-		submitTo  = flag.String("submit", "", "delegate the macro campaign to a mucfuzzd daemon at this address instead of running locally")
-		tenant    = flag.String("tenant", "cli", "tenant id for -submit")
-	)
-	cli := obs.BindCLIFlags()
 	flag.Parse()
 	given := map[string]string{}
 	flag.Visit(func(f *flag.Flag) { given[f.Name] = f.Value.String() })
-	if err := checkFlags(given, checkpointExists); err != nil {
+	if err := checkFlags(given, durable.Exists); err != nil {
 		usageErr(err)
 	}
 	spec.Tenant = *tenant
@@ -270,8 +267,8 @@ func main() {
 		stats []*fuzz.Stats
 		f     *fuzz.MuCFuzz
 	)
-	// seed-gen spans the campaign's assembly; it ends once the trace
-	// journal is open so the span is recorded.
+	// seed-gen spans the campaign's assembly and the observability
+	// setup.
 	sp := reg.Span("seed-gen")
 	if *macro {
 		ecfg := engine.Config{

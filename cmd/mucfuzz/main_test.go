@@ -1,12 +1,9 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
+	"flag"
 	"strings"
 	"testing"
-
-	"github.com/icsnju/metamut-go/internal/durable"
 )
 
 func TestCheckFlags(t *testing.T) {
@@ -65,17 +62,16 @@ func TestCheckFlags(t *testing.T) {
 	}
 }
 
-func TestCheckpointExists(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "c.json")
-	if checkpointExists(ckpt) {
-		t.Fatal("empty directory holds a checkpoint")
-	}
-	// Build falls back to the rotated generation, so it counts too.
-	if err := os.WriteFile(ckpt+durable.PrevSuffix, []byte("{}"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if !checkpointExists(ckpt) {
-		t.Error("a lone .prev generation is not seen")
+func TestFlagListsNameRealFlags(t *testing.T) {
+	// checkFlags only sees names that flag.Visit reports, so a listed
+	// name with no registered flag is never checked.
+	for list, names := range map[string][]string{
+		"engineFlags": engineFlags, "localFlags": localFlags, "snapshotFlags": snapshotFlags,
+	} {
+		for _, name := range names {
+			if flag.Lookup(name) == nil {
+				t.Errorf("%s names -%s, which is not a registered flag", list, name)
+			}
+		}
 	}
 }

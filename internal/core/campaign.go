@@ -77,8 +77,7 @@ func (f *Framework) RunSupervised(target []*muast.Mutator) []Result {
 func (f *Framework) generateSupervisedOne(mu *muast.Mutator, priorNames []string) Result {
 	sp := f.Obs.Span("invocation")
 	res := f.supervisedOne(mu, priorNames)
-	sp.EndWith(map[string]any{"outcome": res.Outcome.String(),
-		"mutator": mu.Name, "tokens": res.Cost.TotalTokens()})
+	sp.End()
 	f.recordInvocation(res)
 	return res
 }
@@ -105,7 +104,7 @@ func (f *Framework) supervisedOne(mu *muast.Mutator, priorNames []string) Result
 	// The expert retries through API errors with bounded, seeded backoff
 	// rather than looping forever; a breaker denial defers the whole
 	// invocation and an exhausted budget abandons it as APIError.
-	sp := f.stageSpan("synthesize")
+	sp := f.Obs.Span("synthesize")
 	var prog *mutdsl.Program
 	rt := f.retrier(llm.StageImplementation)
 	for {
@@ -136,15 +135,12 @@ func (f *Framework) supervisedOne(mu *muast.Mutator, priorNames []string) Result
 	prog.Name = mu.Name
 	prog.Description = mu.Description
 
-	sp = f.stageSpan("generate-tests")
+	sp = f.Obs.Span("generate-tests")
 	var tests []string
 	rt = f.retrier(llm.StageTestGen)
 	for {
 		t, usage, err := f.Client.GenerateTests(inv, f.TestsPerMutator, f.Params)
-		res.Cost.QABugFix++
-		res.Cost.BugFixTokens += usage.TotalTokens()
-		res.Cost.BugFixTime += usage.Wait
-		res.Cost.WaitTime += usage.Wait
+		res.Cost.bookBugFix(usage)
 		if err == nil {
 			tests = t
 			break
@@ -165,7 +161,7 @@ func (f *Framework) supervisedOne(mu *muast.Mutator, priorNames []string) Result
 	}
 	sp.End()
 
-	refineSpan := f.stageSpan("refine")
+	refineSpan := f.Obs.Span("refine")
 	defer refineSpan.End()
 	lastGoal := goalAllMet
 	rt = f.retrier(llm.StageBugFix)
@@ -186,10 +182,7 @@ func (f *Framework) supervisedOne(mu *muast.Mutator, priorNames []string) Result
 			continue
 		}
 		fixed, usage, err := f.Client.Fix(prog, int(goal), feedback, f.Params)
-		res.Cost.QABugFix++
-		res.Cost.BugFixTokens += usage.TotalTokens()
-		res.Cost.BugFixTime += usage.Wait
-		res.Cost.WaitTime += usage.Wait
+		res.Cost.bookBugFix(usage)
 		if err != nil {
 			if errors.Is(err, resil.ErrOpen) {
 				res.Outcome = Deferred

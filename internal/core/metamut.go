@@ -96,6 +96,15 @@ type Cost struct {
 	QABugFix         int
 }
 
+// bookBugFix books one bug-fixing QA round (test generation or a
+// repair): its tokens, and its wait under both the step and Table 3.
+func (c *Cost) bookBugFix(u llm.Usage) {
+	c.QABugFix++
+	c.BugFixTokens += u.TotalTokens()
+	c.BugFixTime += u.Wait
+	c.WaitTime += u.Wait
+}
+
 // TotalTokens sums all steps.
 func (c Cost) TotalTokens() int {
 	return c.InventionTokens + c.ImplementationTokens + c.BugFixTokens
@@ -212,8 +221,7 @@ func (f *Framework) prepareTime() time.Duration {
 func (f *Framework) GenerateOne(priorNames []string) Result {
 	sp := f.Obs.Span("invocation")
 	res := f.generateOne(priorNames)
-	sp.EndWith(map[string]any{"outcome": res.Outcome.String(),
-		"tokens": res.Cost.TotalTokens(), "qa": res.Cost.TotalQA()})
+	sp.End()
 	f.recordInvocation(res)
 	return res
 }
@@ -231,9 +239,6 @@ func (f *Framework) recordInvocation(res Result) {
 	f.Obs.Histogram("invocation_qa_rounds", obs.LinearBuckets(1, 4, 10)).
 		With().Observe(float64(res.Cost.TotalQA()))
 }
-
-// stageSpan opens a named pipeline-stage span (no-op when Obs is nil).
-func (f *Framework) stageSpan(name string) *obs.Span { return f.Obs.Span(name) }
 
 // recordPrepare books one refinement round's simulated prepare time
 // (Table 3 row 2).
@@ -305,7 +310,7 @@ func (f *Framework) generateOne(priorNames []string) Result {
 		StaticCatches: map[Goal]int{}, DynamicCatches: map[Goal]int{}}
 
 	// ❶ Mutator invention (one QA round).
-	sp := f.stageSpan("invent")
+	sp := f.Obs.Span("invent")
 	inv, usage, err := f.Client.Invent(llm.Actions, llm.Structures, priorNames, f.Params)
 	sp.End()
 	res.Cost.QAInvention = 1
@@ -319,7 +324,7 @@ func (f *Framework) generateOne(priorNames []string) Result {
 	res.Invention = inv
 
 	// ❷ Implementation synthesis (one QA round).
-	sp = f.stageSpan("synthesize")
+	sp = f.Obs.Span("synthesize")
 	prog, usage, err := f.Client.Synthesize(inv, f.Params)
 	sp.End()
 	res.Cost.QAImplementation = 1
@@ -334,19 +339,16 @@ func (f *Framework) generateOne(priorNames []string) Result {
 
 	// ❸ Validation and refinement. Test generation is the loop's first
 	// QA round.
-	sp = f.stageSpan("generate-tests")
+	sp = f.Obs.Span("generate-tests")
 	tests, usage, err := f.Client.GenerateTests(inv, f.TestsPerMutator, f.Params)
 	sp.End()
-	res.Cost.QABugFix++
-	res.Cost.BugFixTokens += usage.TotalTokens()
-	res.Cost.BugFixTime += usage.Wait
-	res.Cost.WaitTime += usage.Wait
+	res.Cost.bookBugFix(usage)
 	if err != nil {
 		res.Outcome = apiOutcome(err)
 		return res
 	}
 
-	refineSpan := f.stageSpan("refine")
+	refineSpan := f.Obs.Span("refine")
 	defer refineSpan.End()
 	lastGoal := goalAllMet
 	for attempt := 0; ; attempt++ {
@@ -367,10 +369,7 @@ func (f *Framework) generateOne(priorNames []string) Result {
 			reportMsg = "the mutator does not work as described"
 		}
 		fixed, usage, err := f.Client.Fix(prog, int(reportGoal), reportMsg, f.Params)
-		res.Cost.QABugFix++
-		res.Cost.BugFixTokens += usage.TotalTokens()
-		res.Cost.BugFixTime += usage.Wait
-		res.Cost.WaitTime += usage.Wait
+		res.Cost.bookBugFix(usage)
 		if err != nil {
 			res.Outcome = apiOutcome(err)
 			return res

@@ -309,7 +309,7 @@ func (c *Campaign) Checkpoint() error {
 		if c.cfg.Flight != nil {
 			c.cfg.Flight.Checkpoint(c.epoch, c.done, len(out))
 		}
-		sp.EndWith(map[string]any{"bytes": len(out), "epoch": c.epoch, "done": c.done})
+		sp.End()
 		return nil
 	}
 	sp.End()

@@ -116,7 +116,7 @@ func Triage(workers []Worker, comp *compilersim.Compiler, tcfg TriageConfig) *Tr
 			minimizeBug(b, comp, rcfg, reduced)
 		}
 	}
-	sp.EndWith(map[string]any{"bugs": len(rep.Bugs)})
+	sp.End()
 	return rep
 }
 

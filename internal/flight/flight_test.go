@@ -591,6 +591,16 @@ func TestReportTimelineCompression(t *testing.T) {
 	if out != BuildReport(events).Render() {
 		t.Error("Render is not deterministic")
 	}
+	// A kind nothing emits any more (breaker, in older journals) still
+	// reads and builds, and the reporter ignores it.
+	stray, err := ReadJournal(strings.NewReader(
+		`{"epoch":7,"stream":-1,"kind":"breaker","data":{"from":"closed","to":"open"}}` + "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := BuildReport(append(stray, events...)).Render(); got != out {
+		t.Errorf("stray breaker line changed the report:\n%s", got)
+	}
 }
 
 func TestReadJournalRejectsMalformedLines(t *testing.T) {

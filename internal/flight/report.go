@@ -52,7 +52,6 @@ type Report struct {
 	Checkpoints int            `json:"checkpoints"`
 	Quarantines int            `json:"quarantines"`
 	Paroles     int            `json:"paroles"`
-	Breaker     int            `json:"breaker_transitions"`
 
 	Ended        bool `json:"ended"`
 	FinalDone    int  `json:"final_done"`
@@ -190,8 +189,6 @@ func BuildReport(events []Event) *Report {
 			rep.Quarantines++
 		case "parole":
 			rep.Paroles++
-		case "breaker":
-			rep.Breaker++
 		case "end":
 			rep.Ended = true
 			rep.FinalDone = evInt(ev.Data, "done")
@@ -286,8 +283,8 @@ func (r *Report) Render() string {
 		fmt.Fprintf(&b, "  epoch %-4d %-10s %-22s %s\n", a.Epoch, where, a.Watchdog, a.Detail)
 	}
 
-	fmt.Fprintf(&b, "\ncheckpoints=%d quarantines=%d paroles=%d breaker_transitions=%d\n",
-		r.Checkpoints, r.Quarantines, r.Paroles, r.Breaker)
+	fmt.Fprintf(&b, "\ncheckpoints=%d quarantines=%d paroles=%d\n",
+		r.Checkpoints, r.Quarantines, r.Paroles)
 	if r.Ended {
 		fmt.Fprintf(&b, "end: done=%d edges=%d crashes=%d\n",
 			r.FinalDone, r.FinalEdges, r.FinalCrashes)

@@ -15,8 +15,6 @@ type CLIOptions struct {
 	StatsInterval int
 	// MetricsOut writes a final JSON snapshot to this file on exit.
 	MetricsOut string
-	// TraceOut appends JSONL span/trace events to this file.
-	TraceOut string
 	// DebugAddr serves /debug/metrics, /debug/vars and /debug/pprof.
 	DebugAddr string
 }
@@ -29,34 +27,21 @@ func BindCLIFlags() *CLIOptions {
 		"print a live status line every N steps (0 disables)")
 	flag.StringVar(&o.MetricsOut, "metrics-out", "",
 		"write a final JSON metrics snapshot to this file")
-	flag.StringVar(&o.TraceOut, "trace-out", "",
-		"write JSONL span/trace events to this file")
 	flag.StringVar(&o.DebugAddr, "debug-addr", "",
 		"serve /debug/metrics and /debug/pprof on this address (e.g. :6060)")
 	return o
 }
 
-// Activate wires the options into the registry: opens the trace
-// journal, starts the debug server (mounting any extra routes, e.g.
-// the flight recorder's console endpoints), and publishes the registry
-// under the given expvar name. The returned shutdown function writes
-// the final metrics snapshot and closes the journal; call it exactly
-// once (e.g. via defer) after the campaign finishes.
+// Activate wires the options into the registry: starts the debug
+// server (mounting any extra routes, e.g. the flight recorder's console
+// endpoints) and publishes the registry under the given expvar name.
+// The returned shutdown function writes the final metrics snapshot;
+// call it exactly once (e.g. via defer) after the campaign finishes.
 func (o *CLIOptions) Activate(reg *Registry, expvarName string, extra ...Route) (func() error, error) {
-	var journal *Journal
 	var srv *http.Server
-	if o.TraceOut != "" {
-		j, err := OpenJournal(o.TraceOut)
-		if err != nil {
-			return nil, fmt.Errorf("obs: open trace journal: %w", err)
-		}
-		journal = j
-		reg.SetJournal(j)
-	}
 	if o.DebugAddr != "" {
 		s, addr, err := reg.ServeDebug(o.DebugAddr, extra...)
 		if err != nil {
-			journal.Close()
 			return nil, fmt.Errorf("obs: debug server: %w", err)
 		}
 		srv = s
@@ -67,9 +52,6 @@ func (o *CLIOptions) Activate(reg *Registry, expvarName string, extra ...Route) 
 		var err error
 		if o.MetricsOut != "" {
 			err = reg.Snapshot().WriteJSON(o.MetricsOut)
-		}
-		if cerr := journal.Close(); err == nil {
-			err = cerr
 		}
 		if srv != nil {
 			srv.Close()

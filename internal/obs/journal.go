@@ -1,146 +1,11 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 )
-
-// Journal appends structured events as JSON lines (one object per
-// line). Spans write their completions here; instrumented code may add
-// its own events. Safe for concurrent use; a nil *Journal no-ops.
-//
-// Write failures are sticky: the first error is recorded and surfaced
-// by Err, Flush, and Close instead of being silently dropped, so a
-// full disk or a vanished directory is diagnosable after the fact.
-type Journal struct {
-	mu      sync.Mutex
-	w       *bufio.Writer
-	c       io.Closer
-	start   time.Time
-	err     error // first write/flush error, sticky
-	dropped int64 // events lost to marshal or write errors
-}
-
-// NewJournal wraps an arbitrary writer (the caller keeps ownership of
-// closing it unless it is also an io.Closer handed to OpenJournal).
-func NewJournal(w io.Writer) *Journal {
-	return &Journal{w: bufio.NewWriter(w), start: time.Now()}
-}
-
-// OpenJournal creates (truncating) a JSONL journal file. A missing
-// parent directory is reported as a clear error up front rather than
-// surfacing later as dropped events.
-func OpenJournal(path string) (*Journal, error) {
-	return OpenJournalCapped(path, 0)
-}
-
-// OpenJournalCapped creates a JSONL journal file whose size is capped
-// at maxBytes: when an append would exceed the cap, the current file is
-// fsynced, closed, and renamed to path+".1" (replacing any previous
-// rotation), and writing continues in a fresh file at path. maxBytes 0
-// disables rotation.
-func OpenJournalCapped(path string, maxBytes int64) (*Journal, error) {
-	rw, err := OpenRotating(path, maxBytes)
-	if err != nil {
-		return nil, err
-	}
-	j := NewJournal(rw)
-	j.c = rw
-	return j, nil
-}
-
-// Event appends one line carrying the event kind, a millisecond offset
-// from journal creation, and the given fields. Reserved field names
-// "kind" and "t_ms" are overwritten. encoding/json sorts map keys, so
-// lines are deterministic for a given payload.
-func (j *Journal) Event(kind string, fields map[string]any) {
-	if j == nil {
-		return
-	}
-	rec := make(map[string]any, len(fields)+2)
-	for k, v := range fields {
-		rec[k] = v
-	}
-	rec["kind"] = kind
-	rec["t_ms"] = time.Since(j.start).Milliseconds()
-	line, err := json.Marshal(rec)
-	if err != nil {
-		j.mu.Lock()
-		j.dropped++
-		j.mu.Unlock()
-		return // unmarshalable attachment: drop the event, never crash
-	}
-	j.mu.Lock()
-	_, werr := j.w.Write(line)
-	if werr == nil {
-		werr = j.w.WriteByte('\n')
-	}
-	if werr != nil {
-		j.dropped++
-		if j.err == nil {
-			j.err = werr
-		}
-	}
-	j.mu.Unlock()
-}
-
-// Err returns the first write error the journal has seen (nil when
-// every event landed). Dropped returns how many events were lost to
-// marshal or write failures.
-func (j *Journal) Err() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
-// Dropped returns the number of events lost to marshal/write errors.
-func (j *Journal) Dropped() int64 {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.dropped
-}
-
-// Flush forces buffered lines out. It returns the journal's sticky
-// error if one occurred earlier.
-func (j *Journal) Flush() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	ferr := j.w.Flush()
-	if j.err == nil {
-		j.err = ferr
-	}
-	return j.err
-}
-
-// Close flushes and closes the underlying file (if OpenJournal created
-// one).
-func (j *Journal) Close() error {
-	if j == nil {
-		return nil
-	}
-	err := j.Flush()
-	if j.c != nil {
-		if cerr := j.c.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
 
 // RotatingWriter is a size-capped file writer: when an append would
 // push the current file past MaxBytes, the file is fsynced, closed,

@@ -2,9 +2,12 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -119,42 +122,41 @@ func TestRotatingWriterReplacesPreviousRotation(t *testing.T) {
 	}
 }
 
-func TestJournalStickyErrorAndDropped(t *testing.T) {
-	j := NewJournal(failingWriter{})
-	for i := 0; i < 3; i++ {
-		j.Event("tick", map[string]any{"i": i})
-	}
-	j.Flush()
-	if err := j.Err(); err == nil {
-		t.Fatal("write failures not surfaced by Err")
-	}
-	// The buffered writer absorbs small events; after Flush the failure
-	// is sticky and later events count as dropped.
-	j.Event("tick", map[string]any{"i": 99})
-	if j.Err() == nil {
-		t.Error("error cleared by a later event")
-	}
-	if j.Dropped() == 0 {
-		t.Error("no events counted as dropped despite a dead writer")
-	}
-	// Unmarshalable payloads drop without poisoning the journal.
-	var buf bytes.Buffer
-	ok := NewJournal(&buf)
-	ok.Event("bad", map[string]any{"ch": make(chan int)})
-	ok.Event("good", map[string]any{"i": 1})
-	if err := ok.Flush(); err != nil {
+func TestRotatingWriterConcurrent(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	w, err := OpenRotating(path, 1<<10)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ok.Dropped() != 1 {
-		t.Errorf("dropped = %d, want 1 (the unmarshalable event)", ok.Dropped())
+	var wg sync.WaitGroup
+	for id := 0; id < 8; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				w.Write([]byte(fmt.Sprintf("{\"w\":%d,\"i\":%d}\n", id, i)))
+			}
+		}(id)
 	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"kind":"good"`)) {
-		t.Errorf("good event lost: %q", buf.String())
+	wg.Wait()
+	size := w.Size()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
-}
-
-type failingWriter struct{}
-
-func (failingWriter) Write(p []byte) (int, error) {
-	return 0, os.ErrClosed
+	// Concurrent writers and rotation never tear or interleave a
+	// record: every line of both generations is one whole JSON object.
+	for _, p := range []string{path + RotatedSuffix, path} {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p == path && int64(len(data)) != size {
+			t.Errorf("Size() = %d, current generation holds %d bytes", size, len(data))
+		}
+		for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+			if !json.Valid([]byte(line)) {
+				t.Fatalf("%s: torn or interleaved line %q", p, line)
+			}
+		}
+	}
 }

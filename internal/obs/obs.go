@@ -1,8 +1,8 @@
 // Package obs is the campaign-wide observability layer: a dependency-
 // free, concurrency-safe metrics registry (counters, gauges, fixed-
 // bucket histograms, each organized into labeled families), lightweight
-// span tracing with an optional JSONL journal, and snapshot/export
-// plumbing (JSON, expvar, and a pprof debug server).
+// span timing, and snapshot/export plumbing (JSON, expvar, and a pprof
+// debug server).
 //
 // The paper's evaluation is built entirely on measurement — per-stage
 // LLM cost (Tables 1-3), compilable ratio (Table 5), coverage growth
@@ -197,8 +197,7 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 	return v.with(values)
 }
 
-// Registry holds the metric families of one campaign plus the optional
-// trace journal. The zero value is not usable; use NewRegistry. A nil
+// Registry holds the metric families of one campaign. The zero value is not usable; use NewRegistry. A nil
 // *Registry is a valid "observability off" instance: every method
 // no-ops.
 type Registry struct {
@@ -206,7 +205,6 @@ type Registry struct {
 	counters map[string]*CounterVec
 	gauges   map[string]*GaugeVec
 	hists    map[string]*HistogramVec
-	journal  atomic.Pointer[Journal]
 	start    time.Time
 }
 
@@ -291,22 +289,6 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *
 	}
 	r.hists[name] = f
 	return f
-}
-
-// SetJournal attaches (or, with nil, detaches) the structured-event
-// journal spans and instrumented code append to.
-func (r *Registry) SetJournal(j *Journal) {
-	if r != nil {
-		r.journal.Store(j)
-	}
-}
-
-// Journal returns the attached journal, or nil.
-func (r *Registry) Journal() *Journal {
-	if r == nil {
-		return nil
-	}
-	return r.journal.Load()
 }
 
 // Uptime returns the time since the registry was created.

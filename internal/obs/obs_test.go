@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -40,22 +39,15 @@ func TestNilSafety(t *testing.T) {
 	r.Counter("x", "l").With("v").Inc()
 	r.Gauge("y").With().Set(3)
 	r.Histogram("z", nil, "l").With("v").Observe(1)
-	r.Span("s").EndWith(map[string]any{"k": "v"})
 	if sp := r.Span("s"); sp != nil || sp.End() != 0 {
 		t.Error("nil registry Span should return a nil span that ends at 0")
 	}
-	r.SetJournal(nil)
-	if r.Journal() != nil || r.Uptime() != 0 {
+	if r.Uptime() != 0 {
 		t.Error("nil registry leaked state")
 	}
 	snap := r.Snapshot()
 	if len(snap.Counters) != 0 {
 		t.Error("nil registry snapshot not empty")
-	}
-	var j *Journal
-	j.Event("e", nil)
-	if err := j.Close(); err != nil {
-		t.Errorf("nil journal close: %v", err)
 	}
 }
 
@@ -189,58 +181,6 @@ func TestSpanTimingMonotonic(t *testing.T) {
 	}
 	if h.Count() != 2 {
 		t.Errorf("second span not recorded")
-	}
-}
-
-func TestJournalJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	j := NewJournal(&buf)
-	j.Event("span", map[string]any{"span": "fuzz", "n": 3})
-	j.Event("note", nil)
-	if err := j.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
-	}
-	for _, line := range lines {
-		var ev map[string]any
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("line %q is not valid JSON: %v", line, err)
-		}
-		if _, ok := ev["kind"]; !ok {
-			t.Errorf("line %q missing kind", line)
-		}
-		if _, ok := ev["t_ms"]; !ok {
-			t.Errorf("line %q missing t_ms", line)
-		}
-	}
-}
-
-func TestJournalConcurrent(t *testing.T) {
-	var buf bytes.Buffer
-	j := NewJournal(&buf)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				j.Event("e", map[string]any{"w": id, "i": i})
-			}
-		}(w)
-	}
-	wg.Wait()
-	j.Flush()
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 400 {
-		t.Fatalf("got %d lines, want 400", len(lines))
-	}
-	for _, line := range lines {
-		if !json.Valid([]byte(line)) {
-			t.Fatalf("interleaved write corrupted line %q", line)
-		}
 	}
 }
 

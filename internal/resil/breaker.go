@@ -68,23 +68,9 @@ type Breaker struct {
 	denied  int  // denials since the breaker opened
 	probing bool // a half-open probe is in flight
 
-	// onTransition, when set, is called after every state change with
-	// (from, to) while b.mu is held — keep it fast and never call back
-	// into the breaker.
-	onTransition func(from, to State)
-
 	mState    *obs.Gauge
 	mTrips    *obs.Counter
 	mDeferred *obs.Counter
-}
-
-// SetTransitionHook attaches a state-change tap (nil detaches): the
-// flight recorder journals breaker open/close transitions through it.
-// The hook runs with the breaker's lock held.
-func (b *Breaker) SetTransitionHook(fn func(from, to State)) {
-	b.mu.Lock()
-	b.onTransition = fn
-	b.mu.Unlock()
 }
 
 // NewBreaker returns a closed breaker. reg may be nil.
@@ -168,12 +154,8 @@ func (b *Breaker) trip() {
 
 // setState records the transition and the gauge. Callers hold b.mu.
 func (b *Breaker) setState(s State) {
-	from := b.state
 	b.state = s
 	b.mState.Set(int64(s))
-	if b.onTransition != nil && from != s {
-		b.onTransition(from, s)
-	}
 }
 
 // State returns the current state.
