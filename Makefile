@@ -140,15 +140,17 @@ chaos-smoke:
 # with the live console up, polled over HTTP (JSON snapshot + a taste of
 # the SSE feed) while it runs, then the journal replayed through the
 # post-campaign reporter joined with the campaign's metrics snapshot —
-# the report must carry the wall-clock stage-latency table, and the
-# chaos retries must have tripped at least one watchdog anomaly into
-# the journal.
+# the report must carry the wall-clock stage-latency table, the
+# campaign's own -flight-report must equal the replay up to that table,
+# and the chaos retries must have tripped at least one watchdog anomaly
+# into the journal.
+FLIGHT_REPORT = awk '/^flight report /{p=1} /^stage latency/{p=0} /^flight journal written/{p=0} p'
 flight-smoke:
 	@rm -rf .flight-smoke && mkdir .flight-smoke
 	$(GO) run ./cmd/mucfuzz -macro -streams 16 -steps 12000 -workers 4 \
-		-chaos 99 -flight .flight-smoke/flight.jsonl \
+		-chaos 99 -flight .flight-smoke/flight.jsonl -flight-report \
 		-metrics-out .flight-smoke/m.json \
-		-debug-addr 127.0.0.1:6161 & \
+		-debug-addr 127.0.0.1:6161 > .flight-smoke/run.txt & \
 	pid=$$!; \
 	up=0; for i in $$(seq 1 100); do \
 		if curl -sf http://127.0.0.1:6161/debug/campaign \
@@ -158,7 +160,7 @@ flight-smoke:
 		curl -sf -m 2 http://127.0.0.1:6161/debug/campaign/stream \
 			| head -c 4096 > .flight-smoke/sse.txt || true; \
 	fi; \
-	wait $$pid || { echo "flight-smoke: campaign failed"; exit 1; }; \
+	wait $$pid || { echo "flight-smoke: campaign failed"; cat .flight-smoke/run.txt; exit 1; }; \
 	[ "$$up" = 1 ] || { echo "flight-smoke: console never came up"; exit 1; }
 	grep -q '"campaign"' .flight-smoke/console.json
 	$(GO) run ./cmd/experiments -run flightreport \
@@ -167,6 +169,12 @@ flight-smoke:
 	cat .flight-smoke/report.txt
 	grep -q 'stage latency' .flight-smoke/report.txt || \
 		{ echo "flight-smoke: report has no stage-latency table"; exit 1; }
+	$(FLIGHT_REPORT) .flight-smoke/run.txt > .flight-smoke/inproc.txt
+	$(FLIGHT_REPORT) .flight-smoke/report.txt > .flight-smoke/replay.txt
+	[ -s .flight-smoke/inproc.txt ] || \
+		{ echo "flight-smoke: campaign printed no flight report"; exit 1; }
+	diff .flight-smoke/inproc.txt .flight-smoke/replay.txt || \
+		{ echo "flight-smoke: -flight-report differs from the journal replay"; exit 1; }
 	grep -q 'span_seconds' .flight-smoke/m.json || \
 		{ echo "flight-smoke: metrics snapshot has no span_seconds"; exit 1; }
 	grep -q '"kind":"anomaly"' .flight-smoke/flight.jsonl || \

@@ -36,8 +36,8 @@
 // crashes, watchdog anomalies) as JSONL keyed by logical time only —
 // the journal is byte-identical at any -workers value for a fixed
 // -seed. -flight-max-bytes caps the file (rotation keeps one .1
-// generation); -flight-report prints the replayed campaign report at
-// exit; -flight-baseline BENCH_sched.json arms the throughput-
+// generation); -flight-report prints the campaign report at exit
+// (the same report a replay of the journal builds); -flight-baseline BENCH_sched.json arms the throughput-
 // regression watchdog against the committed baseline.
 //
 //	mucfuzz -macro -steps 40000 -flight flight.jsonl -flight-report
@@ -106,7 +106,7 @@ var (
 	chaosSeed = flag.Int64("chaos", 0, "macro campaign: arm the deterministic chaos harness with this fault seed (0 = off)")
 	flightOut = flag.String("flight", "", "write the flight journal (JSONL, logical time only) to this file")
 	flightMax = flag.Int64("flight-max-bytes", 64<<20, "rotate the flight journal after this many bytes (0 = unbounded)")
-	flightRep = flag.Bool("flight-report", false, "print the replayed flight report at exit")
+	flightRep = flag.Bool("flight-report", false, "print the flight report (as a replay of the journal builds it) at exit")
 	flightBas = flag.String("flight-baseline", "", "BENCH_sched.json file arming the throughput-regression watchdog")
 	submitTo  = flag.String("submit", "", "delegate the macro campaign to a mucfuzzd daemon at this address instead of running locally")
 	tenant    = flag.String("tenant", "cli", "tenant id for -submit")
@@ -242,8 +242,8 @@ func main() {
 		}
 	}
 
-	// Flight recorder: journal to -flight, or ring-only when just the
-	// report or the live console is wanted.
+	// Flight recorder: journal to -flight, or keep only the running
+	// report when just -flight-report or the live console is wanted.
 	var fcfg *flight.Config
 	var flightW *obs.RotatingWriter
 	if *flightOut != "" || *flightRep || cli.DebugAddr != "" {
@@ -482,14 +482,14 @@ func main() {
 	sp.End()
 
 	if rec != nil {
-		if n := len(rec.Anomalies()); n > 0 {
+		frep := rec.Report()
+		if n := len(frep.Anomalies); n > 0 {
 			fmt.Printf("flight watchdogs raised %d anomalies (see journal or -flight-report)\n", n)
 		}
 		if jerr := rec.JournalErr(); jerr != nil {
 			fmt.Fprintf(os.Stderr, "flight journal error: %v\n", jerr)
 		}
 		if *flightRep {
-			frep := flight.BuildReport(rec.Events())
 			fmt.Print(frep.Render())
 			fmt.Print(flight.RenderLatency(reg.Snapshot()))
 		}

@@ -78,7 +78,7 @@ func (r *Recorder) Console() *ConsoleState {
 			Total: r.cfg.TotalSteps},
 		Latency: latency,
 	}
-	st.Progress = ConsoleProgress{Epoch: r.epochs, Done: r.last.Done,
+	st.Progress = ConsoleProgress{Epoch: r.last.Epoch, Done: r.last.Done,
 		Total: r.last.Total, Edges: r.last.Edges}
 	for _, si := range r.last.Streams {
 		st.Progress.Crashes += si.Crashes
@@ -88,16 +88,8 @@ func (r *Recorder) Console() *ConsoleState {
 	}
 	st.Streams = append(st.Streams, r.last.Streams...)
 	st.Sched = r.schedAggregateLocked(20)
-	for _, sig := range r.crashSigs {
-		st.Triage = append(st.Triage, *r.crashes[sig])
-	}
-	sort.SliceStable(st.Triage, func(i, j int) bool {
-		if st.Triage[i].Hits != st.Triage[j].Hits {
-			return st.Triage[i].Hits > st.Triage[j].Hits
-		}
-		return st.Triage[i].Signature < st.Triage[j].Signature
-	})
-	for _, y := range r.yields {
+	st.Triage = crashBuckets(r.rep.Crashes)
+	for _, y := range r.rep.yields {
 		st.Mutators = append(st.Mutators, *y)
 	}
 	sort.Slice(st.Mutators, func(i, j int) bool {
@@ -113,8 +105,36 @@ func (r *Recorder) Console() *ConsoleState {
 	if len(st.Mutators) > 20 {
 		st.Mutators = st.Mutators[:20]
 	}
-	st.Anomalies = append(st.Anomalies, r.anomalies...)
+	st.Anomalies = append(st.Anomalies, r.rep.anomalies...)
 	return st
+}
+
+// crashBuckets groups crash rows into one triage bucket per signature
+// (its first row names it), most hits first.
+func crashBuckets(rows []CrashRow) []CrashBucket {
+	var out []CrashBucket
+	at := map[string]int{}
+	for _, c := range rows {
+		if c.Signature == "" {
+			continue
+		}
+		i, seen := at[c.Signature]
+		if !seen {
+			i = len(out)
+			at[c.Signature] = i
+			out = append(out, CrashBucket{Signature: c.Signature, Component: c.Component,
+				Class: c.Class, Via: c.Via, FirstEpoch: c.Epoch, FirstStream: c.Stream,
+				FirstTick: c.Tick})
+		}
+		out[i].Hits++
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Hits != out[j].Hits {
+			return out[i].Hits > out[j].Hits
+		}
+		return out[i].Signature < out[j].Signature
+	})
+	return out
 }
 
 // schedAggregateLocked folds every stream's posterior (from the last
@@ -142,27 +162,11 @@ func (r *Recorder) schedAggregateLocked(k int) []ConsoleArm {
 	if !seen {
 		return nil
 	}
-	var arms []int
-	for i := range names {
-		if picks[i] > 0 {
-			arms = append(arms, i)
-		}
-	}
-	mean := func(i int) float64 { return rewards[i] / float64(picks[i]) }
-	sort.SliceStable(arms, func(x, y int) bool {
-		mx, my := mean(arms[x]), mean(arms[y])
-		if mx != my {
-			return mx > my
-		}
-		return arms[x] < arms[y]
-	})
-	if len(arms) > k {
-		arms = arms[:k]
-	}
+	arms := topArms(picks, rewards, k)
 	out := make([]ConsoleArm, 0, len(arms))
 	for _, i := range arms {
 		out = append(out, ConsoleArm{Name: names[i], Picks: picks[i],
-			MeanMilli: int64(1000 * mean(i))})
+			MeanMilli: int64(1000 * rewards[i] / float64(picks[i]))})
 	}
 	return out
 }

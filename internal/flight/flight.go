@@ -65,12 +65,10 @@ type Config struct {
 	// Registry receives the flight_* metric families (nil disables).
 	Registry *obs.Registry
 	// Journal receives JSONL event lines (nil disables persistence;
-	// the ring buffer and console still work). An *obs.RotatingWriter
-	// additionally feeds flight_journal_rotations_total.
+	// the running report, console and watchdogs still work). An
+	// *obs.RotatingWriter additionally feeds
+	// flight_journal_rotations_total.
 	Journal io.Writer
-	// RingSize caps the in-memory event ring the console and in-process
-	// reports read from (default 65536; oldest events drop first).
-	RingSize int
 	// ArmNames are the mutator names backing scheduler arm indices, in
 	// arm order — used to label posterior summaries. May be nil.
 	ArmNames []string
@@ -80,8 +78,9 @@ type Config struct {
 	// journaled — the hook that lets a supervisor turn observe-only
 	// watchdogs into corrective action. It runs on the barrier goroutine
 	// with the recorder's lock held: it must be fast and must not call
-	// back into the Recorder. RestoreWatchdogs replays do not re-fire it
-	// (their detections were already journaled by the interrupted run).
+	// back into the Recorder. RestoreWatchdogs does not fire it: the
+	// detections in the prefix it replays were journaled, and handed to
+	// the hook, by the run that wrote them.
 	OnAnomaly func(Event)
 }
 
@@ -111,16 +110,15 @@ type Recorder struct {
 
 	mu      sync.Mutex
 	streams []*Stream
-	ring    []Event
 	written int64
 	jerr    error
-	last    EpochInfo
-	epochs  int // last completed epoch number observed
-
-	anomalies []Event
-	crashes   map[string]*CrashBucket
-	crashSigs []string // insertion order of crash buckets
-	yields    map[string]*MutatorYield
+	// last is the latest barrier: the console's progress block, and the
+	// scheduler posteriors (which the journal does not carry) that the
+	// starvation watchdog reads while its epoch event is folded.
+	last EpochInfo
+	// rep is the running report: every journaled event is folded into
+	// it, and the console and Report read it.
+	rep Report
 
 	subs    map[chan []byte]bool
 	dropped int64 // events dropped on slow subscribers
@@ -202,14 +200,10 @@ func NewRecorder(cfg Config) *Recorder {
 	if cfg.Streams <= 0 {
 		cfg.Streams = 1
 	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 1 << 16
-	}
 	r := &Recorder{
-		cfg:     cfg,
-		crashes: map[string]*CrashBucket{},
-		yields:  map[string]*MutatorYield{},
-		subs:    map[chan []byte]bool{},
+		cfg:  cfg,
+		rep:  Report{Seed: cfg.Seed, Streams: cfg.Streams, Total: cfg.TotalSteps},
+		subs: map[chan []byte]bool{},
 	}
 	RegisterMetrics(cfg.Registry)
 	reg := cfg.Registry // nil-tolerant handles
@@ -245,25 +239,22 @@ func (r *Recorder) Stream(i int) *Stream {
 	return r.streams[i]
 }
 
-// EndEpoch drains every stream's buffered events (in stream order),
-// journals the barrier summaries, and runs the watchdogs. The engine
-// calls it exactly once per epoch, after the coverage merge.
+// EndEpoch drains every stream's buffered events (in stream order) and
+// journals the barrier summaries; folding the epoch event runs the
+// watchdogs. The engine calls it exactly once per epoch, after the
+// coverage merge.
 func (r *Recorder) EndEpoch(info EpochInfo) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.last = info
 
-	quarantines := 0
 	for _, s := range r.streams {
 		for i := range s.buf {
 			ev := s.buf[i]
 			ev.Epoch = info.Epoch
-			if ev.Kind == "quarantine" {
-				quarantines++
-			}
-			r.noteLocked(ev)
 			r.appendLocked(ev)
 		}
 		s.buf = s.buf[:0]
@@ -301,11 +292,19 @@ func (r *Recorder) EndEpoch(info EpochInfo) {
 		ed["poisoned"] = info.Poisoned
 	}
 	r.appendLocked(Event{Epoch: info.Epoch, Stream: -1, Kind: "epoch", Data: ed})
+}
 
-	r.watchdogsLocked(info, quarantines)
+// CheckpointEvent is the journal's confirmation of one successful
+// checkpoint write.
+func CheckpointEvent(epoch, done, bytes int) Event {
+	return Event{Epoch: epoch, Stream: -1, Kind: "checkpoint",
+		Data: map[string]any{"done": done, "bytes": bytes}}
+}
 
-	r.last = info
-	r.epochs = info.Epoch
+// EndEvent is the journal's campaign-completion event.
+func EndEvent(epoch, done, edges, crashes int) Event {
+	return Event{Epoch: epoch, Stream: -1, Kind: "end",
+		Data: map[string]any{"done": done, "edges": edges, "crashes": crashes}}
 }
 
 // Checkpoint journals one successful checkpoint write.
@@ -314,8 +313,7 @@ func (r *Recorder) Checkpoint(epoch, done, bytes int) {
 		return
 	}
 	r.mu.Lock()
-	r.appendLocked(Event{Epoch: epoch, Stream: -1, Kind: "checkpoint",
-		Data: map[string]any{"done": done, "bytes": bytes}})
+	r.appendLocked(CheckpointEvent(epoch, done, bytes))
 	r.mu.Unlock()
 }
 
@@ -327,30 +325,20 @@ func (r *Recorder) End(done, edges, crashes int) {
 		return
 	}
 	r.mu.Lock()
-	r.appendLocked(Event{Epoch: r.epochs, Stream: -1, Kind: "end",
-		Data: map[string]any{"done": done, "edges": edges, "crashes": crashes}})
+	r.appendLocked(EndEvent(r.last.Epoch, done, edges, crashes))
 	r.mu.Unlock()
 }
 
-// Events returns a copy of the in-memory event ring (oldest first;
-// capped at Config.RingSize).
-func (r *Recorder) Events() []Event {
+// Report returns the campaign report folded from every event this
+// recorder journaled, and from the prefix RestoreWatchdogs replayed:
+// what BuildReport makes of the whole journal.
+func (r *Recorder) Report() *Report {
 	if r == nil {
-		return nil
+		return &Report{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Event(nil), r.ring...)
-}
-
-// Anomalies returns a copy of every watchdog detection so far.
-func (r *Recorder) Anomalies() []Event {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Event(nil), r.anomalies...)
+	return r.rep.sorted()
 }
 
 // JournalErr returns the first journal write error (nil when every
@@ -364,35 +352,61 @@ func (r *Recorder) JournalErr() error {
 	return r.jerr
 }
 
-// appendLocked journals, rings, counts, and broadcasts one event.
+// EncodeLine renders one event as its journal line, trailing newline
+// included. It is the journal's only encoder: encoding/json sorts Data's
+// keys, so equal events encode to equal bytes.
+func EncodeLine(ev Event) ([]byte, error) {
+	line, err := json.Marshal(&ev)
+	if err != nil {
+		return nil, err
+	}
+	return append(line, '\n'), nil
+}
+
+// DecodeLine parses one journal line, the inverse of EncodeLine.
+func DecodeLine(line []byte) (Event, error) {
+	var ev Event
+	err := json.Unmarshal(line, &ev)
+	return ev, err
+}
+
+// appendLocked journals, counts, broadcasts and folds one event.
 // Callers hold r.mu.
 func (r *Recorder) appendLocked(ev Event) {
-	line, err := json.Marshal(&ev)
+	line, err := EncodeLine(ev)
 	if err != nil {
 		return // undeterministic payloads never reach here by contract
 	}
 	if r.cfg.Journal != nil && r.jerr == nil {
-		if _, werr := r.cfg.Journal.Write(append(line, '\n')); werr != nil {
+		if _, werr := r.cfg.Journal.Write(line); werr != nil {
 			r.jerr = werr
 		} else {
-			r.written += int64(len(line) + 1)
+			r.written += int64(len(line))
 			r.mBytes.Set(r.written)
 		}
 	}
-	if len(r.ring) >= r.cfg.RingSize {
-		n := copy(r.ring, r.ring[len(r.ring)-r.cfg.RingSize+1:])
-		r.ring = r.ring[:n]
-	}
-	r.ring = append(r.ring, ev)
 	r.mEvents.With(ev.Kind).Inc()
 	for ch := range r.subs {
 		select {
-		case ch <- line:
+		case ch <- line[:len(line)-1]:
 		default:
 			r.dropped++
 			r.mDropped.Inc()
 		}
 	}
+	// Last, so any anomaly the fold journals follows this event
+	// everywhere, the subscribers' feed included.
+	r.foldLocked(ev, true)
+}
+
+// foldLocked is the recorder's one fold over its journal: each event it
+// appends, and each event RestoreWatchdogs replays, passes through here
+// into the running report and the watchdogs' memory. Only live folds
+// (emit) journal detections; a replay finds them already in the journal
+// it reads. Callers hold r.mu.
+func (r *Recorder) foldLocked(ev Event, emit bool) {
+	r.rep.fold(ev)
+	r.watchLocked(ev, emit)
 }
 
 // Dropped returns how many events have been dropped on slow
@@ -426,47 +440,6 @@ func (r *Recorder) DropSubscribers() int {
 	return n
 }
 
-// noteLocked updates the console aggregates from one drained stream
-// event. Callers hold r.mu.
-func (r *Recorder) noteLocked(ev Event) {
-	switch ev.Kind {
-	case "crash":
-		sig, _ := ev.Data["sig"].(string)
-		if sig == "" {
-			return
-		}
-		b := r.crashes[sig]
-		if b == nil {
-			comp, _ := ev.Data["component"].(string)
-			class, _ := ev.Data["class"].(string)
-			via, _ := ev.Data["via"].(string)
-			b = &CrashBucket{Signature: sig, Component: comp, Class: class,
-				Via: via, FirstEpoch: ev.Epoch, FirstStream: ev.Stream,
-				FirstTick: ev.Tick}
-			r.crashes[sig] = b
-			r.crashSigs = append(r.crashSigs, sig)
-		}
-		b.Hits++
-	case "reward":
-		name, _ := ev.Data["m"].(string)
-		if name == "" {
-			return
-		}
-		y := r.yields[name]
-		if y == nil {
-			y = &MutatorYield{Name: name}
-			r.yields[name] = y
-		}
-		y.Rewards++
-		if b, _ := ev.Data["cov"].(bool); b {
-			y.Cov++
-		}
-		if b, _ := ev.Data["crash"].(bool); b {
-			y.Crash++
-		}
-	}
-}
-
 // schedTop summarizes a posterior into its top-k arms by mean reward:
 // [{"m": name, "picks": n, "mw": milli-mean}, …], ties broken by arm
 // index. Returns nil for empty or unnamed posteriors.
@@ -474,16 +447,31 @@ func schedTop(st *sched.State, names []string, k int) []map[string]any {
 	if st == nil || len(st.Picks) == 0 || len(names) != len(st.Picks) {
 		return nil
 	}
+	arms := topArms(st.Picks, st.Rewards, k)
+	if len(arms) == 0 {
+		return nil
+	}
+	out := make([]map[string]any, 0, len(arms))
+	for _, i := range arms {
+		out = append(out, map[string]any{
+			"m":     names[i],
+			"picks": st.Picks[i],
+			"mw":    int64(math.Round(1000 * st.Rewards[i] / float64(st.Picks[i]))),
+		})
+	}
+	return out
+}
+
+// topArms returns up to k of the picked arms, by mean reward
+// (rewards/picks) descending, ties broken by arm index.
+func topArms(picks []int64, rewards []float64, k int) []int {
 	var arms []int
-	for i, p := range st.Picks {
+	for i, p := range picks {
 		if p > 0 {
 			arms = append(arms, i)
 		}
 	}
-	if len(arms) == 0 {
-		return nil
-	}
-	mean := func(i int) float64 { return st.Rewards[i] / float64(st.Picks[i]) }
+	mean := func(i int) float64 { return rewards[i] / float64(picks[i]) }
 	sort.SliceStable(arms, func(x, y int) bool {
 		mx, my := mean(arms[x]), mean(arms[y])
 		if mx != my {
@@ -491,16 +479,5 @@ func schedTop(st *sched.State, names []string, k int) []map[string]any {
 		}
 		return arms[x] < arms[y]
 	})
-	if len(arms) > k {
-		arms = arms[:k]
-	}
-	out := make([]map[string]any, 0, len(arms))
-	for _, i := range arms {
-		out = append(out, map[string]any{
-			"m":     names[i],
-			"picks": st.Picks[i],
-			"mw":    int64(math.Round(1000 * mean(i))),
-		})
-	}
-	return out
+	return arms[:min(k, len(arms))]
 }

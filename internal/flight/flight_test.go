@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -28,7 +29,7 @@ func barrier(epoch, done, edges int, streams ...StreamInfo) EpochInfo {
 
 func anomalyKinds(r *Recorder) []string {
 	var kinds []string
-	for _, ev := range r.Anomalies() {
+	for _, ev := range r.Console().Anomalies {
 		kinds = append(kinds, ev.Data["watchdog"].(string))
 	}
 	return kinds
@@ -86,17 +87,69 @@ func TestEndEpochDrainOrder(t *testing.T) {
 	}
 }
 
-func TestRingCapEvictsOldest(t *testing.T) {
-	r := NewRecorder(Config{Streams: 1, RingSize: 8})
-	for i := 0; i < 30; i++ {
-		r.Checkpoint(1, i, 100)
+// TestReportMatchesReplay: the recorder's running report is what the
+// journal replays into, header included, well past the 65,536 events
+// an in-memory event ring once held. The regression baseline is large
+// enough that its anomaly carries a seven-digit value, which a replay
+// reads back as a float64.
+func TestReportMatchesReplay(t *testing.T) {
+	var buf bytes.Buffer
+	r := NewRecorder(Config{Streams: 2, TotalSteps: 99000, Seed: 7, Journal: &buf,
+		Watchdogs: WatchdogConfig{BaselineEdgesPer1k: 5e6}})
+	names := []string{"swap", "hoist", "fold", "split", "wrap"}
+	for e := 1; e <= 300; e++ {
+		for s := 0; s < 2; s++ {
+			for i := 0; i < 110; i++ {
+				r.Stream(s).Emit(330*e+i, "reward", map[string]any{
+					"m": names[(e+s+i)%len(names)], "cov": i%3 == 0, "crash": i%50 == s})
+			}
+			if e%7 == s {
+				r.Stream(s).Emit(330*e+200, "crash", map[string]any{
+					"sig": names[e%len(names)] + "|x", "component": "Parser",
+					"class": "ICE", "via": names[s]})
+			}
+		}
+		info := barrier(e, 330*e, 10+e/2,
+			StreamInfo{Stream: 0, Ticks: 330 * e, Total: 165 * e},
+			StreamInfo{Stream: 1, Ticks: 330 * e, Total: 165 * e, Poisoned: e > 290})
+		if e > 290 {
+			info.Poisoned = []int{1}
+		}
+		if e%40 == 0 {
+			info.Retries = 5 // a retry_spike anomaly
+		}
+		r.EndEpoch(info)
+		if e%25 == 0 {
+			r.Checkpoint(e, 330*e, 4096)
+		}
 	}
-	evs := r.Events()
-	if len(evs) != 8 {
-		t.Fatalf("ring holds %d events, want 8", len(evs))
+	r.End(99000, 160, 4)
+
+	events, err := ReadJournal(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if done := evs[len(evs)-1].Data["done"]; done != 29 {
-		t.Errorf("newest ring event done=%v, want 29", done)
+	if len(events) <= 1<<16 {
+		t.Fatalf("journal has %d events, want more than %d", len(events), 1<<16)
+	}
+	got, want := r.Report(), BuildReport(events)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("running report differs from the replay:\n%+v\n---\n%+v", got, want)
+	}
+	if g, w := got.Render(), want.Render(); g != w {
+		t.Errorf("running report renders differently from the replay:\n%s\n---\n%s", g, w)
+	}
+	if head := "flight report — seed 7, 2 streams, budget 99000 steps\n"; !strings.HasPrefix(got.Render(), head) {
+		t.Errorf("report header = %q, want %q", strings.SplitN(got.Render(), "\n", 2)[0], head)
+	}
+	if len(got.Epochs) != 300 || len(got.Anomalies) != 8 || !got.Ended {
+		t.Errorf("report has %d epochs, %d anomalies, ended=%v; want 300, 8, true",
+			len(got.Epochs), len(got.Anomalies), got.Ended)
+	}
+	// A resumed recorder writes no header but still names its campaign.
+	resumed := NewRecorder(Config{Streams: 2, TotalSteps: 99000, Seed: 7, Done: 500})
+	if rep := resumed.Report(); rep.Seed != 7 || rep.Streams != 2 || rep.Total != 99000 {
+		t.Errorf("resumed report header = %d/%d/%d, want 7/2/99000", rep.Seed, rep.Streams, rep.Total)
 	}
 }
 
@@ -114,7 +167,7 @@ func TestWatchdogStalledStreamFiresAndRearms(t *testing.T) {
 	if got := anomalyKinds(r); len(got) != 1 || got[0] != "stalled_stream" {
 		t.Fatalf("anomalies after 4 frozen epochs = %v, want [stalled_stream]", got)
 	}
-	if ev := r.Anomalies()[0]; ev.Stream != 0 || ev.Epoch != 5 {
+	if ev := r.Console().Anomalies[0]; ev.Stream != 0 || ev.Epoch != 5 {
 		t.Errorf("stall attributed to stream %d epoch %d, want stream 0 epoch 5",
 			ev.Stream, ev.Epoch)
 	}
@@ -155,13 +208,13 @@ func TestWatchdogCoveragePlateau(t *testing.T) {
 	if len(got) != 1 || got[0] != "coverage_plateau" {
 		t.Fatalf("anomalies = %v, want [coverage_plateau]", got)
 	}
-	if ep := r.Anomalies()[0].Epoch; ep != 9 {
+	if ep := r.Console().Anomalies[0].Epoch; ep != 9 {
 		t.Errorf("plateau fired at epoch %d, want 9 (8 flat epochs after baseline)", ep)
 	}
 	// Once fired it stays quiet until edges grow again.
 	si.Ticks = 1000
 	r.EndEpoch(barrier(10, 100, 42, si))
-	if n := len(r.Anomalies()); n != 1 {
+	if n := len(r.Console().Anomalies); n != 1 {
 		t.Errorf("plateau re-fired without coverage growth: %d anomalies", n)
 	}
 }
@@ -176,7 +229,7 @@ func TestWatchdogQuarantineStorm(t *testing.T) {
 	if len(got) != 1 || got[0] != "quarantine_storm" {
 		t.Fatalf("anomalies = %v, want [quarantine_storm]", got)
 	}
-	if c := r.Anomalies()[0].Data["count"]; c != 3 {
+	if c := r.Console().Anomalies[0].Data["count"]; c != 3 {
 		t.Errorf("storm count = %v, want 3", c)
 	}
 }
@@ -186,7 +239,7 @@ func TestWatchdogRetrySpike(t *testing.T) {
 	info := barrier(1, 16, 5, StreamInfo{Stream: 0, Ticks: 16})
 	info.Retries = 3 // below default threshold 4
 	r.EndEpoch(info)
-	if n := len(r.Anomalies()); n != 0 {
+	if n := len(r.Console().Anomalies); n != 0 {
 		t.Fatalf("3 retries raised %d anomalies, threshold is 4", n)
 	}
 	info = barrier(2, 32, 5, StreamInfo{Stream: 0, Ticks: 32})
@@ -208,14 +261,14 @@ func TestWatchdogSchedStarvation(t *testing.T) {
 	if len(got) != 1 || got[0] != "sched_starvation" {
 		t.Fatalf("anomalies = %v, want [sched_starvation]", got)
 	}
-	data := r.Anomalies()[0].Data
+	data := r.Console().Anomalies[0].Data
 	if data["arms"] != 1 || data["first"] != "b" {
 		t.Errorf("starvation data = %v, want arms=1 first=b", data)
 	}
 	// Fires once per stream, even while the arm stays unpicked.
 	r.EndEpoch(barrier(2, 32, 6,
 		StreamInfo{Stream: 0, Ticks: 2600, Sched: post}))
-	if n := len(r.Anomalies()); n != 1 {
+	if n := len(r.Console().Anomalies); n != 1 {
 		t.Errorf("starvation fired %d times for one stream, want 1", n)
 	}
 }
@@ -225,7 +278,7 @@ func TestWatchdogThroughputRegression(t *testing.T) {
 		Watchdogs: WatchdogConfig{BaselineEdgesPer1k: 1000}})
 	// 500 ticks: below regressionMinTicks, no judgment yet.
 	r.EndEpoch(barrier(1, 500, 10, StreamInfo{Stream: 0, Ticks: 500}))
-	if n := len(r.Anomalies()); n != 0 {
+	if n := len(r.Console().Anomalies); n != 0 {
 		t.Fatalf("regression judged before regressionMinTicks: %d anomalies", n)
 	}
 	// 2500 ticks at 10 edges → 4 edges/1k, far below the 500 floor.
@@ -234,14 +287,14 @@ func TestWatchdogThroughputRegression(t *testing.T) {
 	if len(got) != 1 || got[0] != "throughput_regression" {
 		t.Fatalf("anomalies = %v, want [throughput_regression]", got)
 	}
-	data := r.Anomalies()[0].Data
+	data := r.Console().Anomalies[0].Data
 	if data["edges_per_1k"] != 4 || data["baseline_per_1k"] != 1000 ||
 		data["floor_milli"] != 500 {
 		t.Errorf("regression data = %v", data)
 	}
 	// Fires once.
 	r.EndEpoch(barrier(3, 3000, 10, StreamInfo{Stream: 0, Ticks: 3000}))
-	if n := len(r.Anomalies()); n != 1 {
+	if n := len(r.Console().Anomalies); n != 1 {
 		t.Errorf("regression fired %d times, want 1", n)
 	}
 }
@@ -257,7 +310,7 @@ func TestWatchdogDisable(t *testing.T) {
 		info.Retries = 99
 		r.EndEpoch(info)
 	}
-	if n := len(r.Anomalies()); n != 0 {
+	if n := len(r.Console().Anomalies); n != 0 {
 		t.Errorf("disabled watchdogs raised %d anomalies", n)
 	}
 }
@@ -527,8 +580,8 @@ func TestJournalErrorIsSticky(t *testing.T) {
 	if err := r.JournalErr(); err == nil || err.Error() != "disk gone" {
 		t.Errorf("JournalErr = %v, want sticky 'disk gone'", err)
 	}
-	if len(r.Events()) == 0 {
-		t.Error("ring stopped recording after a journal error")
+	if r.Report().Checkpoints != 1 {
+		t.Error("running report stopped folding after a journal error")
 	}
 }
 
@@ -616,54 +669,96 @@ func TestReadJournalRejectsMalformedLines(t *testing.T) {
 }
 
 // TestRestoreWatchdogsContinuesCounters: a recorder rebuilt over a
-// journal prefix (checkpoint resume) must fire the same anomalies at
-// the same epochs as one that lived through the whole campaign —
-// counters continue, fired latches survive, and journal bytes match.
+// journal prefix (checkpoint resume) must journal exactly what one that
+// lived through the whole campaign journals after that prefix — every
+// detector's counters continue and fired latches survive — at every cut.
+// The script fires each of the six detectors; the regression detector
+// is armed on every recorder.
 func TestRestoreWatchdogsContinuesCounters(t *testing.T) {
-	live := func(ticks0, ticks1 int) []StreamInfo {
-		return []StreamInfo{{Stream: 0, Ticks: ticks0}, {Stream: 1, Ticks: ticks1}}
-	}
-	drive := func(r *Recorder, from, to int) {
-		// Stream 0 freezes at 100 after epoch 1; stream 1 advances, and
-		// coverage grows so only the stall detector is in play.
-		for e := from; e <= to; e++ {
-			r.EndEpoch(barrier(e, 10*e, 5+e, live(100, 100*e)...))
+	const epochs = 16
+	post := &sched.State{Kind: "adaptive", Arms: 3, Ticks: 2500,
+		Picks: []int64{5, 0, 7}, Rewards: []float64{1, 0, 2}}
+	barrierAt := func(r *Recorder, e int) {
+		// Stream 0 freezes at 100 ticks until epoch 10 (stall fires at
+		// 5), then is poisoned from 14; stream 1 advances and shows an
+		// unpicked arm from 5 (starvation). Edges stop growing at 3
+		// (plateau fires at 11) and are too few for the baseline once
+		// 2,000 ticks are in (regression fires at 7). Epoch 7 also
+		// carries a quarantine storm; epochs 7 and 13 a retry spike.
+		s0 := StreamInfo{Stream: 0, Ticks: 100}
+		if e >= 10 {
+			s0.Ticks = 100 * e
 		}
+		if e >= 14 {
+			s0.Ticks, s0.Poisoned = 1300, true
+		}
+		s1 := StreamInfo{Stream: 1, Ticks: 300 * e}
+		if e >= 5 {
+			s1.Sched = post
+		}
+		r.Stream(1).Emit(300*e-5, "reward", map[string]any{"m": "b", "cov": e%2 == 0})
+		if e%4 == 0 {
+			r.Stream(0).Emit(90, "crash", map[string]any{"sig": "p|q", "via": "a"})
+		}
+		info := barrier(e, 10*e, min(e, 3), s0, s1)
+		if e == 7 {
+			for i := 0; i < 3; i++ {
+				r.Stream(1).Emit(300*e-i, "quarantine", map[string]any{"id": i})
+			}
+		}
+		if e == 7 || e == 13 {
+			info.Retries = 5
+		}
+		if e >= 14 {
+			info.Poisoned = []int{0}
+		}
+		r.EndEpoch(info)
 	}
+	newRec := func(done int, journal *bytes.Buffer, hook func(Event)) *Recorder {
+		r := NewRecorder(Config{Streams: 2, TotalSteps: 1000, Seed: 3, Done: done,
+			Journal: journal, ArmNames: []string{"a", "b", "c"}, OnAnomaly: hook})
+		r.SetBaseline(1000)
+		return r
+	}
+
 	var whole bytes.Buffer
-	ref := NewRecorder(Config{Streams: 2, Journal: &whole})
-	drive(ref, 1, 8)
-
-	// Interrupted at epoch 3 — two frozen epochs banked, stall not yet
-	// fired — and resumed by a fresh recorder.
-	var prefix bytes.Buffer
-	first := NewRecorder(Config{Streams: 2, Journal: &prefix})
-	drive(first, 1, 3)
-	var tail bytes.Buffer
-	resumed := NewRecorder(Config{Streams: 2, Done: 30, Journal: &tail})
-	resumed.RestoreWatchdogs(prefix.Bytes())
-	drive(resumed, 4, 8)
-
-	wantTail := strings.TrimPrefix(whole.String(), prefix.String())
-	if wantTail == whole.String() {
-		t.Fatal("prefix journal is not a prefix of the uninterrupted journal")
+	ref := newRec(0, &whole, nil)
+	cuts := []int{whole.Len()} // cuts[k]: journal length after epoch k
+	for e := 1; e <= epochs; e++ {
+		barrierAt(ref, e)
+		cuts = append(cuts, whole.Len())
 	}
-	if tail.String() != wantTail {
-		t.Errorf("resumed journal tail diverged:\ngot  %q\nwant %q", tail.String(), wantTail)
+	want := map[string]int{"stalled_stream": 1, "sched_starvation": 1,
+		"quarantine_storm": 1, "retry_spike": 2, "throughput_regression": 1,
+		"coverage_plateau": 1}
+	got := map[string]int{}
+	for _, kind := range anomalyKinds(ref) {
+		got[kind]++
 	}
-	if got := anomalyKinds(resumed); len(got) != 1 || got[0] != "stalled_stream" {
-		t.Fatalf("resumed anomalies = %v, want [stalled_stream]", got)
-	}
-	if ev := resumed.Anomalies()[0]; ev.Epoch != 5 {
-		t.Errorf("resumed stall fired at epoch %d, want 5 (absolute)", ev.Epoch)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("script fired %v, want %v", got, want)
 	}
 
-	// A restart after the stall fired must not re-fire it.
-	var tail2 bytes.Buffer
-	again := NewRecorder(Config{Streams: 2, Done: 60, Journal: &tail2})
-	again.RestoreWatchdogs(append(prefix.Bytes(), tail.Bytes()...))
-	drive(again, 9, 10)
-	if got := anomalyKinds(again); len(got) != 0 {
-		t.Errorf("latched stall re-fired after restore: %v", got)
+	for k := 1; k < epochs; k++ {
+		prefix, wantTail := whole.Bytes()[:cuts[k]], whole.String()[cuts[k]:]
+		var tail bytes.Buffer
+		hooked := 0
+		resumed := newRec(10*k, &tail, func(Event) { hooked++ })
+		resumed.RestoreWatchdogs(prefix)
+		if hooked != 0 {
+			t.Errorf("cut %d: OnAnomaly fired %d times during the restore", k, hooked)
+		}
+		for e := k + 1; e <= epochs; e++ {
+			barrierAt(resumed, e)
+		}
+		if tail.String() != wantTail {
+			t.Errorf("cut %d: resumed journal tail diverged:\ngot  %q\nwant %q", k, tail.String(), wantTail)
+		}
+		if n := strings.Count(wantTail, `"kind":"anomaly"`); hooked != n {
+			t.Errorf("cut %d: OnAnomaly fired %d times after the restore, want %d", k, hooked, n)
+		}
+		if g, w := resumed.Report(), ref.Report(); !reflect.DeepEqual(g, w) {
+			t.Errorf("cut %d: restored report differs from the uninterrupted one:\n%+v\n---\n%+v", k, g, w)
+		}
 	}
 }

@@ -3,9 +3,10 @@ package flight
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -15,7 +16,7 @@ import (
 // ReadJournal parses a JSONL flight journal back into events. Blank
 // lines are skipped; a malformed line is an error (journals are
 // machine-written, so damage means truncation or corruption worth
-// surfacing).
+// surfacing), returned with the events before it.
 func ReadJournal(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
@@ -27,16 +28,13 @@ func ReadJournal(r io.Reader) ([]Event, error) {
 		if len(line) == 0 {
 			continue
 		}
-		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return nil, fmt.Errorf("flight: journal line %d: %w", n, err)
+		ev, err := DecodeLine(line)
+		if err != nil {
+			return out, fmt.Errorf("flight: journal line %d: %w", n, err)
 		}
 		out = append(out, ev)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, sc.Err()
 }
 
 // Report is the replayed, aggregated view of one campaign journal.
@@ -57,6 +55,10 @@ type Report struct {
 	FinalDone    int  `json:"final_done"`
 	FinalEdges   int  `json:"final_edges"`
 	FinalCrashes int  `json:"final_crashes"`
+
+	// What fold keeps for Mutators and Anomalies; sorted lists them.
+	yields    map[string]*MutatorYield
+	anomalies []Event
 }
 
 // EpochRow is one barrier in the timeline.
@@ -128,79 +130,91 @@ func evInts(d map[string]any, key string) []int {
 	return nil
 }
 
-// BuildReport replays a journal (or a recorder's event ring) into a
-// Report. It accepts partial journals — an interrupted campaign simply
-// has Ended false.
+// BuildReport replays a journal into a Report: every event folded in
+// journal order, then the lists sorted. It accepts partial journals — an
+// interrupted campaign simply has Ended false.
 func BuildReport(events []Event) *Report {
 	rep := &Report{}
-	yields := map[string]*MutatorYield{}
 	for _, ev := range events {
-		switch ev.Kind {
-		case "campaign":
-			rep.Seed = int64(evInt(ev.Data, "seed"))
-			rep.Streams = evInt(ev.Data, "streams")
-			rep.Total = evInt(ev.Data, "total")
-		case "epoch":
-			rep.Epochs = append(rep.Epochs, EpochRow{
-				Epoch:    ev.Epoch,
-				Done:     evInt(ev.Data, "done"),
-				Edges:    evInt(ev.Data, "edges"),
-				Crashes:  evInt(ev.Data, "crashes"),
-				Retries:  evInt(ev.Data, "retries"),
-				Poisoned: evInts(ev.Data, "poisoned"),
-			})
-		case "reward":
-			name := evStr(ev.Data, "m")
-			if name == "" {
-				continue
-			}
-			y := yields[name]
-			if y == nil {
-				y = &MutatorYield{Name: name}
-				yields[name] = y
-			}
-			y.Rewards++
-			if evBool(ev.Data, "cov") {
-				y.Cov++
-			}
-			if evBool(ev.Data, "crash") {
-				y.Crash++
-			}
-		case "crash":
-			rep.Crashes = append(rep.Crashes, CrashRow{
-				Epoch:     ev.Epoch,
-				Stream:    ev.Stream,
-				Tick:      ev.Tick,
-				Signature: evStr(ev.Data, "sig"),
-				Component: evStr(ev.Data, "component"),
-				Class:     evStr(ev.Data, "class"),
-				Via:       evStr(ev.Data, "via"),
-			})
-		case "anomaly":
-			rep.Anomalies = append(rep.Anomalies, AnomalyRow{
-				Epoch:    ev.Epoch,
-				Stream:   ev.Stream,
-				Watchdog: evStr(ev.Data, "watchdog"),
-				Detail:   detailString(ev.Data),
-			})
-		case "checkpoint":
-			rep.Checkpoints++
-		case "quarantine":
-			rep.Quarantines++
-		case "parole":
-			rep.Paroles++
-		case "end":
-			rep.Ended = true
-			rep.FinalDone = evInt(ev.Data, "done")
-			rep.FinalEdges = evInt(ev.Data, "edges")
-			rep.FinalCrashes = evInt(ev.Data, "crashes")
+		rep.fold(ev)
+	}
+	return rep.sorted()
+}
+
+// fold adds one journal event to the report.
+func (rep *Report) fold(ev Event) {
+	switch ev.Kind {
+	case "campaign":
+		rep.Seed = int64(evInt(ev.Data, "seed"))
+		rep.Streams = evInt(ev.Data, "streams")
+		rep.Total = evInt(ev.Data, "total")
+	case "epoch":
+		rep.Epochs = append(rep.Epochs, EpochRow{
+			Epoch:    ev.Epoch,
+			Done:     evInt(ev.Data, "done"),
+			Edges:    evInt(ev.Data, "edges"),
+			Crashes:  evInt(ev.Data, "crashes"),
+			Retries:  evInt(ev.Data, "retries"),
+			Poisoned: evInts(ev.Data, "poisoned"),
+		})
+	case "reward":
+		name := evStr(ev.Data, "m")
+		if name == "" {
+			return
 		}
+		y := rep.yields[name]
+		if y == nil {
+			if rep.yields == nil {
+				rep.yields = map[string]*MutatorYield{}
+			}
+			y = &MutatorYield{Name: name}
+			rep.yields[name] = y
+		}
+		y.Rewards++
+		if evBool(ev.Data, "cov") {
+			y.Cov++
+		}
+		if evBool(ev.Data, "crash") {
+			y.Crash++
+		}
+	case "crash":
+		rep.Crashes = append(rep.Crashes, CrashRow{
+			Epoch:     ev.Epoch,
+			Stream:    ev.Stream,
+			Tick:      ev.Tick,
+			Signature: evStr(ev.Data, "sig"),
+			Component: evStr(ev.Data, "component"),
+			Class:     evStr(ev.Data, "class"),
+			Via:       evStr(ev.Data, "via"),
+		})
+	case "anomaly":
+		rep.anomalies = append(rep.anomalies, ev)
+	case "checkpoint":
+		rep.Checkpoints++
+	case "quarantine":
+		rep.Quarantines++
+	case "parole":
+		rep.Paroles++
+	case "end":
+		rep.Ended = true
+		rep.FinalDone = evInt(ev.Data, "done")
+		rep.FinalEdges = evInt(ev.Data, "edges")
+		rep.FinalCrashes = evInt(ev.Data, "crashes")
 	}
-	for _, y := range yields {
-		rep.Mutators = append(rep.Mutators, *y)
+}
+
+// sorted returns the report as its readers see it, sharing no slice with
+// rep: mutators ranked by yield, anomalies as rows.
+func (rep *Report) sorted() *Report {
+	out := *rep
+	out.yields, out.anomalies = nil, nil
+	out.Epochs = slices.Clone(rep.Epochs)
+	out.Crashes = slices.Clone(rep.Crashes)
+	for _, y := range rep.yields {
+		out.Mutators = append(out.Mutators, *y)
 	}
-	sort.Slice(rep.Mutators, func(i, j int) bool {
-		a, b := rep.Mutators[i], rep.Mutators[j]
+	sort.Slice(out.Mutators, func(i, j int) bool {
+		a, b := out.Mutators[i], out.Mutators[j]
 		if a.Crash != b.Crash {
 			return a.Crash > b.Crash
 		}
@@ -212,7 +226,15 @@ func BuildReport(events []Event) *Report {
 		}
 		return a.Name < b.Name
 	})
-	return rep
+	for _, ev := range rep.anomalies {
+		out.Anomalies = append(out.Anomalies, AnomalyRow{
+			Epoch:    ev.Epoch,
+			Stream:   ev.Stream,
+			Watchdog: evStr(ev.Data, "watchdog"),
+			Detail:   detailString(ev.Data),
+		})
+	}
+	return &out
 }
 
 // detailString renders an anomaly's payload (minus the watchdog key)
@@ -227,7 +249,13 @@ func detailString(d map[string]any) string {
 	sort.Strings(keys)
 	parts := make([]string, 0, len(keys))
 	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%v", k, d[k]))
+		v := d[k]
+		if f, ok := v.(float64); ok && f == math.Trunc(f) && math.Abs(f) < 1<<53 {
+			// A replayed integer reads as float64; print it as the
+			// recorder's int prints.
+			v = int64(f)
+		}
+		parts = append(parts, fmt.Sprintf("%s=%v", k, v))
 	}
 	return strings.Join(parts, " ")
 }

@@ -50,8 +50,13 @@ const (
 	regressionMinTicks = 2000
 )
 
-// watchdogState is the detectors' memory between barriers.
+// watchdogState is the detectors' memory, all of it read from journaled
+// events: the barrier being journaled, the counters carried between
+// barriers, and the fired-once latches, which only an anomaly event sets.
 type watchdogState struct {
+	barrier     []Event // this barrier's stream events, in journal order
+	quarantines int     // this barrier's quarantine events
+
 	lastTicks map[int]int
 	stallFor  map[int]int
 	stalled   map[int]bool
@@ -72,66 +77,92 @@ func (w *watchdogState) init() {
 	w.starved = map[int]bool{}
 }
 
-// watchdogsLocked runs every detector against one barrier summary.
-// Detection order is fixed (stall by stream, plateau, storm,
-// starvation by stream, retry spike, regression) so anomaly events
-// land at a deterministic journal position. Callers hold r.mu.
-func (r *Recorder) watchdogsLocked(info EpochInfo, quarantines int) {
-	cfg := r.cfg.Watchdogs
-	if cfg.Disable {
+// watchLocked is the watchdogs' part of the fold. A barrier's stream and
+// quarantine events are gathered until its epoch event, which runs the
+// detectors; an anomaly event sets its detector's latch. Callers hold
+// r.mu.
+func (r *Recorder) watchLocked(ev Event, emit bool) {
+	if r.cfg.Watchdogs.Disable {
 		return
 	}
 	wd := &r.wd
+	switch ev.Kind {
+	case "stream":
+		wd.barrier = append(wd.barrier, ev)
+	case "quarantine":
+		wd.quarantines++
+	case "anomaly":
+		switch evStr(ev.Data, "watchdog") {
+		case "stalled_stream":
+			wd.stalled[ev.Stream] = true
+		case "coverage_plateau":
+			wd.plateauFired = true
+		case "sched_starvation":
+			wd.starved[ev.Stream] = true
+		case "throughput_regression":
+			wd.regressionFired = true
+		}
+	case "epoch":
+		r.detectLocked(ev.Epoch, evInt(ev.Data, "edges"), evInt(ev.Data, "retries"), emit)
+		wd.barrier, wd.quarantines = wd.barrier[:0], 0
+	}
+}
+
+// detectLocked runs every detector against the barrier just journaled.
+// Detection order is fixed (stall by stream, plateau, storm, starvation
+// by stream, retry spike, regression) so anomaly events land at a
+// deterministic journal position. Without emit the detectors only keep
+// their counters. Starvation reads the posteriors in r.last, which only
+// a live barrier has; its latch is its only memory. Callers hold r.mu.
+func (r *Recorder) detectLocked(epoch, edges, retries int, emit bool) {
+	wd := &r.wd
+	fire := func(stream int, kind string, data map[string]any) {
+		if emit {
+			r.anomalyLocked(epoch, stream, kind, data)
+		}
+	}
 
 	totalTicks := 0
-	for _, si := range info.Streams {
-		totalTicks += si.Ticks
-	}
-
-	for _, si := range info.Streams {
-		if si.Poisoned {
+	for _, ev := range wd.barrier {
+		s, ticks := ev.Stream, ev.Tick
+		totalTicks += ticks
+		if evBool(ev.Data, "poisoned") {
 			// A poisoned stream is already reported by the engine; its
 			// frozen ticks are not a stall.
-			delete(wd.stallFor, si.Stream)
+			delete(wd.stallFor, s)
 			continue
 		}
-		if last, seen := wd.lastTicks[si.Stream]; seen && si.Ticks == last {
-			wd.stallFor[si.Stream]++
+		if last, seen := wd.lastTicks[s]; seen && ticks == last {
+			wd.stallFor[s]++
 		} else {
-			wd.stallFor[si.Stream] = 0
-			wd.stalled[si.Stream] = false
+			wd.stallFor[s] = 0
+			wd.stalled[s] = false
 		}
-		wd.lastTicks[si.Stream] = si.Ticks
-		if wd.stallFor[si.Stream] >= stallEpochs && !wd.stalled[si.Stream] {
-			wd.stalled[si.Stream] = true
-			r.anomalyLocked(info.Epoch, si.Stream, "stalled_stream", map[string]any{
-				"epochs": wd.stallFor[si.Stream], "ticks": si.Ticks,
-			})
+		wd.lastTicks[s] = ticks
+		if wd.stallFor[s] >= stallEpochs && !wd.stalled[s] {
+			fire(s, "stalled_stream", map[string]any{"epochs": wd.stallFor[s], "ticks": ticks})
 		}
 	}
 
-	if wd.sawEdges && info.Edges == wd.lastEdges {
+	if wd.sawEdges && edges == wd.lastEdges {
 		wd.plateauFor++
 	} else {
 		wd.plateauFor = 0
 		wd.plateauFired = false
 	}
 	wd.sawEdges = true
-	wd.lastEdges = info.Edges
+	wd.lastEdges = edges
 	if wd.plateauFor >= plateauEpochs && !wd.plateauFired {
-		wd.plateauFired = true
-		r.anomalyLocked(info.Epoch, -1, "coverage_plateau", map[string]any{
-			"epochs": wd.plateauFor, "edges": info.Edges,
+		fire(-1, "coverage_plateau", map[string]any{
+			"epochs": wd.plateauFor, "edges": edges,
 		})
 	}
 
-	if quarantines >= quarantineStorm {
-		r.anomalyLocked(info.Epoch, -1, "quarantine_storm", map[string]any{
-			"count": quarantines,
-		})
+	if wd.quarantines >= quarantineStorm {
+		fire(-1, "quarantine_storm", map[string]any{"count": wd.quarantines})
 	}
 
-	for _, si := range info.Streams {
+	for _, si := range r.last.Streams {
 		st := si.Sched
 		if st == nil || len(st.Picks) == 0 || si.Poisoned || wd.starved[si.Stream] {
 			continue
@@ -151,111 +182,62 @@ func (r *Recorder) watchdogsLocked(info EpochInfo, quarantines int) {
 		if zero == 0 {
 			continue
 		}
-		wd.starved[si.Stream] = true
 		data := map[string]any{"arms": zero, "ticks": st.Ticks}
 		if first >= 0 && first < len(r.cfg.ArmNames) {
 			data["first"] = r.cfg.ArmNames[first]
 		}
-		r.anomalyLocked(info.Epoch, si.Stream, "sched_starvation", data)
+		fire(si.Stream, "sched_starvation", data)
 	}
 
-	if info.Retries >= retrySpike {
-		r.anomalyLocked(info.Epoch, -1, "retry_spike", map[string]any{
-			"count": info.Retries,
-		})
+	if retries >= retrySpike {
+		fire(-1, "retry_spike", map[string]any{"count": retries})
 	}
 
-	if cfg.BaselineEdgesPer1k > 0 && !wd.regressionFired &&
-		totalTicks >= regressionMinTicks {
-		rate := 1000 * float64(info.Edges) / float64(totalTicks)
-		if rate < regressionFraction*cfg.BaselineEdgesPer1k {
-			wd.regressionFired = true
-			r.anomalyLocked(info.Epoch, -1, "throughput_regression", map[string]any{
+	base := r.cfg.Watchdogs.BaselineEdgesPer1k
+	if base > 0 && !wd.regressionFired && totalTicks >= regressionMinTicks {
+		rate := 1000 * float64(edges) / float64(totalTicks)
+		if rate < regressionFraction*base {
+			fire(-1, "throughput_regression", map[string]any{
 				"edges_per_1k":    int(math.Round(rate)),
-				"baseline_per_1k": int(math.Round(cfg.BaselineEdgesPer1k)),
+				"baseline_per_1k": int(math.Round(base)),
 				"floor_milli":     int(math.Round(1000 * regressionFraction)),
 			})
 		}
 	}
 }
 
-// RestoreWatchdogs rebuilds the detectors' inter-barrier memory by
-// replaying a journal prefix — the repaired journal a resumed campaign
-// continues appending to. A fresh Recorder starts its
-// consecutive-epoch counters and fired-once latches at zero, so
-// without this a restart would shift every later anomaly to a
-// restart-relative journal position (or re-fire latched ones) and the
-// continued journal would diverge from an uninterrupted run's. The
-// replay mirrors watchdogsLocked's bookkeeping exactly but emits
-// nothing: every detection inside the prefix is already journaled.
+// RestoreWatchdogs replays a journal prefix (the repaired journal a
+// resumed campaign continues appending to) through the recorder's fold,
+// with emission off. A fresh Recorder starts its consecutive-epoch
+// counters and fired-once latches at zero, so without this a restart
+// would shift every later anomaly to a restart-relative journal position
+// (or re-fire latched ones) and the continued journal would diverge from
+// an uninterrupted run's. The replay also folds the prefix into the
+// running report, so the console and Report cover the whole campaign.
+// OnAnomaly does not fire: every detection inside the prefix is already
+// journaled.
 //
-// Safe on a nil recorder. Torn or foreign lines are skipped — the
-// caller has already repaired the journal to a valid prefix.
+// Safe on a nil recorder. The prefix is read as ReadJournal reads it, up
+// to its first malformed line: the caller has already repaired the
+// journal to a valid prefix, and nothing valid follows a torn line.
 func (r *Recorder) RestoreWatchdogs(journal []byte) {
 	if r == nil {
 		return
 	}
+	events, _ := ReadJournal(bytes.NewReader(journal))
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	wd := &r.wd
-	for _, line := range bytes.Split(journal, []byte{'\n'}) {
-		if len(line) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			continue
-		}
-		switch ev.Kind {
-		case "stream":
-			s := ev.Stream
-			if ev.Data["poisoned"] == true {
-				delete(wd.stallFor, s)
-				continue
-			}
-			if last, seen := wd.lastTicks[s]; seen && ev.Tick == last {
-				wd.stallFor[s]++
-			} else {
-				wd.stallFor[s] = 0
-				wd.stalled[s] = false
-			}
-			wd.lastTicks[s] = ev.Tick
-			if wd.stallFor[s] >= stallEpochs {
-				wd.stalled[s] = true
-			}
-		case "epoch":
-			edges := 0
-			if v, ok := ev.Data["edges"].(float64); ok {
-				edges = int(v)
-			}
-			if wd.sawEdges && edges == wd.lastEdges {
-				wd.plateauFor++
-			} else {
-				wd.plateauFor = 0
-				wd.plateauFired = false
-			}
-			wd.sawEdges = true
-			wd.lastEdges = edges
-			if wd.plateauFor >= plateauEpochs {
-				wd.plateauFired = true
-			}
-		case "anomaly":
-			switch ev.Data["watchdog"] {
-			case "sched_starvation":
-				wd.starved[ev.Stream] = true
-			case "throughput_regression":
-				wd.regressionFired = true
-			}
-		}
+	for _, ev := range events {
+		r.foldLocked(ev, false)
 	}
 }
 
-// anomalyLocked records one detection: journal event, anomaly log, and
-// flight_anomalies_total{kind}. Callers hold r.mu.
+// anomalyLocked records one detection: journal event (whose fold sets
+// the detector's latch), flight_anomalies_total{kind} and the OnAnomaly
+// hook. Callers hold r.mu.
 func (r *Recorder) anomalyLocked(epoch, stream int, kind string, data map[string]any) {
 	data["watchdog"] = kind
 	ev := Event{Epoch: epoch, Stream: stream, Kind: "anomaly", Data: data}
-	r.anomalies = append(r.anomalies, ev)
 	r.appendLocked(ev)
 	r.mAnoms.With(kind).Inc()
 	if r.cfg.OnAnomaly != nil {

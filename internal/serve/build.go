@@ -85,8 +85,8 @@ type Campaign struct {
 // identity fields from spec. A non-zero ecfg.Seed seeds the stream RNGs
 // in place of spec.Seed while the seed pool still derives from
 // spec.Seed (Table 6 runs both compilers over one corpus). fcfg, when
-// non-nil, attaches a flight recorder: its Journal, Watchdogs,
-// RingSize and OnAnomaly are kept, the rest is filled from the spec.
+// non-nil, attaches a flight recorder: its Journal, Watchdogs and
+// OnAnomaly are kept, the rest is filled from the spec.
 //
 // When a checkpoint loads from ecfg.CheckpointPath (or its .prev) the
 // campaign resumes. The snapshot then owns the seed, streams,

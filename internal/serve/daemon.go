@@ -320,7 +320,9 @@ func (d *Daemon) buildRuntime(rec *JobRecord) (*job, error) {
 	}
 	// The resumed recorder replays the repaired prefix so its anomaly
 	// detectors' epoch counters and latches continue where the killed
-	// run's left off — anomalies land at absolute journal positions.
+	// run's left off — anomalies land at absolute journal positions —
+	// and its console counts the crashes and rewards from before the
+	// restart.
 	camp.Flight.RestoreWatchdogs(journalPrefix)
 	return &job{
 		rec: rec, dir: dir, camp: camp,
@@ -399,7 +401,7 @@ func (d *Daemon) Submit(spec JobSpec) (string, error) {
 	d.saveLedgerLocked()
 	d.m.submitted.Inc()
 	d.refreshGauges()
-	d.pingLocked()
+	d.ping()
 	d.cfg.Logf("serve: job %s admitted (tenant %s, %d steps)", id, spec.Tenant, spec.Steps)
 	return id, nil
 }
@@ -423,7 +425,7 @@ func (d *Daemon) Cancel(id string) error {
 			"serve: job %s has no runtime", id)}
 	}
 	j.cancel = true
-	d.pingLocked()
+	d.ping()
 	return nil
 }
 
@@ -836,8 +838,10 @@ func (d *Daemon) refreshGauges() {
 	d.m.tenants.Set(int64(len(tenants)))
 }
 
-// pingLocked wakes the coordinator if it is parked. Callers hold d.mu.
-func (d *Daemon) pingLocked() {
+// ping wakes the coordinator if it is parked. The send never blocks
+// (wake buffers one wake-up), so it needs no lock: Submit and Cancel
+// call it holding d.mu, Kill without it.
+func (d *Daemon) ping() {
 	select {
 	case d.wake <- struct{}{}:
 	default:
@@ -898,7 +902,7 @@ func (d *Daemon) Kill() {
 	default:
 		close(d.kill)
 	}
-	d.pingLockedUnguarded()
+	d.ping()
 	if d.running.Load() {
 		<-d.done
 	}
@@ -908,13 +912,4 @@ func (d *Daemon) Kill() {
 		j.camp.Unlock()
 	}
 	d.lock.Release()
-}
-
-// pingLockedUnguarded wakes a parked loop without holding d.mu (Kill
-// and Stop race the park legitimately; the channel is buffered).
-func (d *Daemon) pingLockedUnguarded() {
-	select {
-	case d.wake <- struct{}{}:
-	default:
-	}
 }

@@ -2,12 +2,11 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
 	"os"
 
 	"github.com/icsnju/metamut-go/internal/durable"
 	"github.com/icsnju/metamut-go/internal/engine"
+	"github.com/icsnju/metamut-go/internal/flight"
 )
 
 // repairJournal rewinds a job's flight journal to the barrier its
@@ -27,6 +26,10 @@ import (
 //     when the kill landed between the file install and the journal
 //     write — reconstructed bit-for-bit from the snapshot on disk.
 //
+// Lines are read with flight's decoder and the confirmation is written
+// with its encoder. Kept lines are copied verbatim: re-encoding a
+// decoded line could rewrite its numbers.
+//
 // ckptBytes is the resumed checkpoint file's size (the confirmation
 // line's payload). Returns the repaired journal bytes — the prefix the
 // resumed recorder must replay to restore its watchdog memory.
@@ -42,14 +45,8 @@ func repairJournal(path string, snap *engine.Snapshot, ckptBytes int) ([]byte, e
 		if len(line) == 0 {
 			continue
 		}
-		var ev struct {
-			Epoch int    `json:"epoch"`
-			Kind  string `json:"kind"`
-			Data  struct {
-				Done int `json:"done"`
-			} `json:"data"`
-		}
-		if err := json.Unmarshal(line, &ev); err != nil {
+		ev, err := flight.DecodeLine(line)
+		if err != nil {
 			// A torn trailing write; everything after it is gone too
 			// (the journal is append-only, so nothing valid follows a
 			// torn line).
@@ -62,7 +59,8 @@ func repairJournal(path string, snap *engine.Snapshot, ckptBytes int) ([]byte, e
 			// The job will re-run its tail and re-emit completion.
 			continue
 		}
-		if ev.Kind == "checkpoint" && ev.Epoch == snap.Epoch && ev.Data.Done == snap.Done {
+		if done, _ := ev.Data["done"].(float64); ev.Kind == "checkpoint" &&
+			ev.Epoch == snap.Epoch && int(done) == snap.Done {
 			sawCkpt = true
 		}
 		out.Write(line)
@@ -70,11 +68,12 @@ func repairJournal(path string, snap *engine.Snapshot, ckptBytes int) ([]byte, e
 	}
 	if !sawCkpt && snap.Done > 0 {
 		// Killed between checkpoint install and its journal line: the
-		// confirmation the uninterrupted run would carry. Field order
-		// matches flight's encoder (struct order, then sorted map keys).
-		fmt.Fprintf(&out, `{"epoch":%d,"stream":-1,"kind":"checkpoint","data":{"bytes":%d,"done":%d}}`,
-			snap.Epoch, ckptBytes, snap.Done)
-		out.WriteByte('\n')
+		// confirmation the uninterrupted run would carry.
+		line, err := flight.EncodeLine(flight.CheckpointEvent(snap.Epoch, snap.Done, ckptBytes))
+		if err != nil {
+			return nil, err
+		}
+		out.Write(line)
 	}
 	return out.Bytes(), durable.Write(path, out.Bytes(), false)
 }
@@ -88,7 +87,9 @@ func appendEndEvent(path string, epoch, done, edges, crashes int) error {
 	if err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	line := fmt.Sprintf(`{"epoch":%d,"stream":-1,"kind":"end","data":{"crashes":%d,"done":%d,"edges":%d}}`,
-		epoch, crashes, done, edges) + "\n"
+	line, err := flight.EncodeLine(flight.EndEvent(epoch, done, edges, crashes))
+	if err != nil {
+		return err
+	}
 	return durable.Write(path, append(data, line...), false)
 }
