@@ -63,7 +63,9 @@ race:
 
 # fuzz-smoke runs each native fuzz target for 10s beyond its seed
 # corpus: the mutant validator; the checkpoint and ledger decoders
-# that must return a value or an error, never panic, on any bytes; and
+# that must return a value or an error, never panic, on any bytes; the
+# flight journal repair, which must keep a valid line-prefix and repair
+# its own output to itself; and
 # the front end's lexer and walker, held to their former map- and
 # closure-driven references. Go
 # fuzzes one target per invocation; -parallel 2 keeps it to two
@@ -75,6 +77,7 @@ fuzz-smoke:
 	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzMutantValidator$$' ./internal/mutcheck
 	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzCheckpointLoad$$' ./internal/engine
 	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzLedgerLoad$$' ./internal/serve
+	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzRepairJournal$$' ./internal/serve
 	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzLexMatchesReference$$' ./internal/cast
 	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzWalkOrder$$' ./internal/cast
 
@@ -143,8 +146,14 @@ chaos-smoke:
 # the report must carry the wall-clock stage-latency table, the
 # campaign's own -flight-report must equal the replay up to that table,
 # and the chaos retries must have tripped at least one watchdog anomaly
-# into the journal.
+# into the journal. Its interrupt-and-resume leg then runs a campaign
+# that checkpoints every epoch against a baseline no run can meet,
+# SIGINTs it once the throughput-regression anomaly is journaled, and
+# resumes it with the same -flight file: the journal must cmp-equal an
+# uninterrupted run's and carry the anomaly exactly once.
 FLIGHT_REPORT = awk '/^flight report /{p=1} /^stage latency/{p=0} /^flight journal written/{p=0} p'
+RESUME_RUN = .flight-smoke/mucfuzz -macro -steps 16000 -seed 3 -checkpoint-every 1 \
+	-flight-baseline .flight-smoke/base.json
 flight-smoke:
 	@rm -rf .flight-smoke && mkdir .flight-smoke
 	$(GO) run ./cmd/mucfuzz -macro -streams 16 -steps 12000 -workers 4 \
@@ -179,6 +188,25 @@ flight-smoke:
 		{ echo "flight-smoke: metrics snapshot has no span_seconds"; exit 1; }
 	grep -q '"kind":"anomaly"' .flight-smoke/flight.jsonl || \
 		{ echo "flight-smoke: chaos raised no watchdog anomaly"; exit 1; }
+	$(GO) build -o .flight-smoke/mucfuzz ./cmd/mucfuzz
+	echo '{"variants":[{"name":"adaptive","sched":"adaptive","edges_per_1k_ticks":1e9}]}' \
+		> .flight-smoke/base.json
+	$(RESUME_RUN) -checkpoint .flight-smoke/whole.ckpt -flight .flight-smoke/whole.jsonl > /dev/null
+	touch .flight-smoke/resumed.jsonl; \
+	$(RESUME_RUN) -checkpoint .flight-smoke/resumed.ckpt -flight .flight-smoke/resumed.jsonl \
+		> .flight-smoke/cut.txt & pid=$$!; \
+	for i in $$(seq 1 1000); do \
+		grep -q throughput_regression .flight-smoke/resumed.jsonl && break; sleep 0.01; done; \
+	kill -INT $$pid; \
+	wait $$pid || { echo "flight-smoke: interrupted campaign failed"; cat .flight-smoke/cut.txt; exit 1; }
+	grep -q '^interrupted at step' .flight-smoke/cut.txt || \
+		{ echo "flight-smoke: SIGINT landed after the campaign finished"; exit 1; }
+	.flight-smoke/mucfuzz -macro -resume .flight-smoke/resumed.ckpt -checkpoint-every 1 \
+		-flight .flight-smoke/resumed.jsonl -flight-baseline .flight-smoke/base.json > /dev/null
+	cmp .flight-smoke/whole.jsonl .flight-smoke/resumed.jsonl || \
+		{ echo "flight-smoke: resumed journal differs from the uninterrupted one"; exit 1; }
+	[ "$$(grep -c throughput_regression .flight-smoke/resumed.jsonl)" = 1 ] || \
+		{ echo "flight-smoke: the resumed journal does not carry the regression exactly once"; exit 1; }
 	@rm -rf .flight-smoke
 
 # serve-smoke proves fuzzing-as-a-service end to end: start the daemon,

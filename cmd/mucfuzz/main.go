@@ -35,10 +35,13 @@
 // event (barriers, checkpoints, mutator rewards, quarantine churn,
 // crashes, watchdog anomalies) as JSONL keyed by logical time only —
 // the journal is byte-identical at any -workers value for a fixed
-// -seed. -flight-max-bytes caps the file (rotation keeps one .1
-// generation); -flight-report prints the campaign report at exit
-// (the same report a replay of the journal builds); -flight-baseline BENCH_sched.json arms the throughput-
-// regression watchdog against the committed baseline.
+// -seed. -resume continues the file in place, repaired to the snapshot
+// and replayed so fired watchdogs stay quiet: it ends as the
+// uninterrupted run's journal. -flight-max-bytes caps the file
+// (rotation keeps one .1 generation); -flight-report prints the
+// campaign report at exit (the same report a replay of the journal
+// builds); -flight-baseline BENCH_sched.json arms the
+// throughput-regression watchdog against the committed baseline.
 //
 //	mucfuzz -macro -steps 40000 -flight flight.jsonl -flight-report
 //
@@ -66,6 +69,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"os/signal"
@@ -245,18 +249,10 @@ func main() {
 	// Flight recorder: journal to -flight, or keep only the running
 	// report when just -flight-report or the live console is wanted.
 	var fcfg *flight.Config
-	var flightW *obs.RotatingWriter
 	if *flightOut != "" || *flightRep || cli.DebugAddr != "" {
 		fcfg = &flight.Config{}
-		if *flightOut != "" {
-			w, err := obs.OpenRotating(*flightOut, *flightMax)
-			if err != nil {
-				fatal(err)
-			}
-			flightW = w
-			fcfg.Journal = w
-		}
 	}
+	var journal io.Closer // holds the -flight file, closed at exit
 
 	status := flight.NewStatus()
 	var (
@@ -303,10 +299,10 @@ func main() {
 			}
 		}
 		var err error
-		if camp, err = serve.Build(*spec, ecfg, fcfg); err != nil {
+		if camp, err = serve.Build(*spec, ecfg, fcfg, *flightOut, *flightMax); err != nil {
 			fatal(err)
 		}
-		comp, rec, *spec = camp.Compiler, camp.Flight, camp.Spec
+		comp, rec, *spec, journal = camp.Compiler, camp.Flight, camp.Spec, camp
 		if camp.From != "" {
 			if camp.From != *ckpt {
 				fmt.Printf("primary checkpoint %s failed integrity check; resuming from %s\n",
@@ -315,6 +311,10 @@ func main() {
 			fmt.Printf("resumed from %s: %d/%d steps done, %d epochs\n",
 				*ckpt, camp.Done(), camp.Config().TotalSteps, camp.Epoch())
 		}
+		if camp.PartialJournal {
+			fmt.Fprintln(os.Stderr, "warning: no flight journal holds this campaign from its start; "+
+				"the watchdogs and report resume from a partial prefix, and an anomaly already raised may fire again")
+		}
 	} else {
 		serve.RegisterCampaignMetrics(reg)
 		comp = serve.Compiler(spec.Compiler)
@@ -322,6 +322,13 @@ func main() {
 		comp.EnableMutantCache(serve.MutantCacheEntries)
 		mutators := serve.Arsenal(spec.MutatorSet)
 		if fcfg != nil {
+			if *flightOut != "" {
+				w, err := serve.OpenJournal(*flightOut, *flightMax)
+				if err != nil {
+					fatal(err)
+				}
+				fcfg.Journal, journal = w, w
+			}
 			fcfg.Streams, fcfg.TotalSteps, fcfg.Seed = 1, spec.Steps, spec.Seed
 			fcfg.Registry = reg
 			for _, mu := range mutators {
@@ -493,8 +500,8 @@ func main() {
 			fmt.Print(frep.Render())
 			fmt.Print(flight.RenderLatency(reg.Snapshot()))
 		}
-		if flightW != nil {
-			if cerr := flightW.Close(); cerr != nil {
+		if *flightOut != "" {
+			if cerr := journal.Close(); cerr != nil {
 				fmt.Fprintln(os.Stderr, cerr)
 			}
 			fmt.Printf("flight journal written to %s\n", *flightOut)

@@ -431,6 +431,12 @@ func resume(path string, snap *Snapshot, from string, cfg Config, factory Factor
 	}
 	c := &Campaign{cfg: cfg, global: global, epoch: snap.Epoch, done: snap.Done,
 		poisoned: map[int]PoisonInfo{}, ckptDone: -1}
+	if from == cfg.CheckpointPath && cfg.TotalSteps == snap.TotalSteps {
+		// The file this campaign writes already holds this barrier, so
+		// a checkpoint before the next one would only rotate the
+		// distinct .prev out for a copy.
+		c.ckptDone = snap.Done
+	}
 	for _, ps := range snap.Poisoned {
 		c.poisoned[ps.Stream] = PoisonInfo{Epoch: ps.Epoch, Reason: ps.Reason}
 	}

@@ -170,8 +170,9 @@ type Campaign struct {
 	// steps still count toward the budget so the campaign terminates.
 	poisoned map[int]PoisonInfo
 	// ckptDone is the done-count of the last successful checkpoint (-1
-	// before any): writing the same barrier twice would rotate a real
-	// generation out of .prev for an identical copy.
+	// before any; a campaign resumed from the primary file it writes
+	// starts at the snapshot's): writing the same barrier twice would
+	// rotate a real generation out of .prev for an identical copy.
 	ckptDone int
 	// ended latches the flight end event so repeated RunSlice calls on
 	// a completed campaign never journal a second one.

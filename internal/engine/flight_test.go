@@ -8,11 +8,13 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/icsnju/metamut-go/internal/compilersim"
+	"github.com/icsnju/metamut-go/internal/durable"
 	"github.com/icsnju/metamut-go/internal/flight"
 	"github.com/icsnju/metamut-go/internal/fuzz"
 	"github.com/icsnju/metamut-go/internal/muast"
@@ -172,6 +174,56 @@ func TestFlightJournalResumeConcat(t *testing.T) {
 	if !bytes.Equal(joined, full) {
 		t.Errorf("part1+part2 journal (%d bytes) != uninterrupted journal (%d bytes)",
 			len(joined), len(full))
+	}
+}
+
+// TestResumeFinishedLeavesCheckpointsAlone: resuming a finished
+// campaign from its primary checkpoint rewrites neither generation —
+// the .prev keeps the distinct earlier barrier — and journals no second
+// checkpoint line, only the end event the resumed run owes.
+func TestResumeFinishedLeavesCheckpointsAlone(t *testing.T) {
+	pool := seeds.Generate(15, 9)
+	ckpt := filepath.Join(t.TempDir(), "c.ckpt")
+	var first bytes.Buffer
+	rec := flight.NewRecorder(flight.Config{Streams: 4, TotalSteps: 320, Seed: 5,
+		Journal: &first, ArmNames: armNames()})
+	cfg := Config{Streams: 4, Workers: 2, StepsPerEpoch: 16, TotalSteps: 320, Seed: 5,
+		Flight: rec, CheckpointPath: ckpt, CheckpointEvery: 2}
+	if err := New(cfg, flightFactory(compilersim.New("gcc", 14), pool, rec)).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	read := func(p string) []byte {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	primary, prev := read(ckpt), read(ckpt+durable.PrevSuffix)
+	if bytes.Equal(primary, prev) {
+		t.Fatal("the finished campaign's two generations are equal; the test needs distinct ones")
+	}
+
+	snap, err := Load(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tail bytes.Buffer
+	rec = flight.NewRecorder(flight.Config{Streams: 4, TotalSteps: 320, Seed: 5,
+		Done: snap.Done, Journal: &tail, ArmNames: armNames()})
+	c, err := Resume(ckpt, Config{Workers: 2, Flight: rec, CheckpointPath: ckpt, CheckpointEvery: 2},
+		flightFactory(compilersim.New("gcc", 14), pool, rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(read(ckpt), primary) || !bytes.Equal(read(ckpt+durable.PrevSuffix), prev) {
+		t.Error("resuming a finished campaign rewrote its checkpoint generations")
+	}
+	if bytes.Contains(tail.Bytes(), []byte(`"kind":"checkpoint"`)) {
+		t.Errorf("resumed finished campaign journaled a duplicate checkpoint: %s", tail.String())
 	}
 }
 

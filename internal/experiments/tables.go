@@ -181,7 +181,7 @@ func RunTable6(cfg Config) *Table6Result {
 		if cfg.CheckpointDir != "" {
 			ecfg.CheckpointPath = filepath.Join(cfg.CheckpointDir, "table6-"+compName+".json")
 		}
-		c, err := serve.Build(spec, ecfg, nil)
+		c, err := serve.Build(spec, ecfg, nil, "", 0)
 		if err != nil {
 			res.Err = err
 			return res

@@ -317,15 +317,32 @@ func (r *Recorder) Checkpoint(epoch, done, bytes int) {
 	r.mu.Unlock()
 }
 
-// End journals campaign completion. Interrupted campaigns write no end
-// event — the resumed run's completion provides it, keeping the
-// concatenated journal identical to an uninterrupted one.
+// End journals campaign completion at the last epoch the fold has
+// seen, live or replayed by RestoreWatchdogs. Interrupted campaigns
+// write no end event — the resumed run's completion provides it,
+// keeping the concatenated journal identical to an uninterrupted one.
 func (r *Recorder) End(done, edges, crashes int) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.appendLocked(EndEvent(r.last.Epoch, done, edges, crashes))
+	epoch := 0
+	if n := len(r.rep.Epochs); n > 0 {
+		epoch = r.rep.Epochs[n-1].Epoch
+	}
+	r.appendLocked(EndEvent(epoch, done, edges, crashes))
+	r.mu.Unlock()
+}
+
+// StopJournal detaches the journal for good: later events still fold
+// into the report, console and watchdogs, but are written nowhere. A
+// daemon caps a job's journal under disk pressure this way.
+func (r *Recorder) StopJournal() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.cfg.Journal = nil
 	r.mu.Unlock()
 }
 

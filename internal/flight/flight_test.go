@@ -762,3 +762,49 @@ func TestRestoreWatchdogsContinuesCounters(t *testing.T) {
 		}
 	}
 }
+
+// TestEndAfterRestoreJournalsLastEpoch: a recorder restored from a
+// prefix that ends at epoch E and ended before any live barrier (a
+// resumed campaign that was already finished, or a restarted job
+// cancelled before its first slice) journals its end event at E, not 0.
+func TestEndAfterRestoreJournalsLastEpoch(t *testing.T) {
+	var prefix bytes.Buffer
+	r := NewRecorder(Config{Streams: 1, TotalSteps: 1000, Journal: &prefix})
+	for e := 1; e <= 3; e++ {
+		r.EndEpoch(barrier(e, 10*e, e, StreamInfo{Stream: 0, Ticks: 10 * e}))
+	}
+
+	var tail bytes.Buffer
+	resumed := NewRecorder(Config{Streams: 1, TotalSteps: 1000, Done: 30, Journal: &tail})
+	resumed.RestoreWatchdogs(prefix.Bytes())
+	resumed.End(30, 3, 0)
+	want, err := EncodeLine(EndEvent(3, 30, 3, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tail.String() != string(want) {
+		t.Errorf("restored recorder journaled %q, want %q", tail.String(), want)
+	}
+}
+
+// TestStopJournalKeepsFolding: after StopJournal nothing more reaches
+// the journal, while the running report keeps every event.
+func TestStopJournalKeepsFolding(t *testing.T) {
+	var buf bytes.Buffer
+	r := NewRecorder(Config{Streams: 1, TotalSteps: 100, Journal: &buf})
+	r.EndEpoch(barrier(1, 10, 1, StreamInfo{Stream: 0, Ticks: 10}))
+	n := buf.Len()
+	r.StopJournal()
+	r.EndEpoch(barrier(2, 20, 2, StreamInfo{Stream: 0, Ticks: 20}))
+	r.Checkpoint(2, 20, 5)
+	if buf.Len() != n {
+		t.Errorf("journal grew from %d to %d bytes after StopJournal", n, buf.Len())
+	}
+	if rep := r.Report(); len(rep.Epochs) != 2 || rep.Checkpoints != 1 {
+		t.Errorf("report after StopJournal: %d epochs, %d checkpoints; want 2 and 1",
+			len(rep.Epochs), rep.Checkpoints)
+	}
+	if err := r.JournalErr(); err != nil {
+		t.Errorf("StopJournal surfaced as a journal error: %v", err)
+	}
+}

@@ -28,9 +28,11 @@ type RotatingWriter struct {
 // RotatedSuffix names the single rotated generation kept on disk.
 const RotatedSuffix = ".1"
 
-// OpenRotating creates (truncating) a size-capped writer at path.
-// maxBytes 0 disables rotation. A missing parent directory is a clear
-// error here, not a silent failure at first write.
+// OpenRotating opens a size-capped writer appending to path; bytes
+// already there count toward the cap. It never truncates: whether a
+// journal starts over is its owner's call. maxBytes 0 disables
+// rotation. A missing parent directory is a clear error here, not a
+// silent failure at first write.
 func OpenRotating(path string, maxBytes int64) (*RotatingWriter, error) {
 	dir := filepath.Dir(path)
 	if fi, err := os.Stat(dir); err != nil {
@@ -38,11 +40,16 @@ func OpenRotating(path string, maxBytes int64) (*RotatingWriter, error) {
 	} else if !fi.IsDir() {
 		return nil, fmt.Errorf("obs: journal parent %q is not a directory", dir)
 	}
-	f, err := os.Create(path)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("obs: create journal %q: %w", path, err)
+		return nil, fmt.Errorf("obs: open journal %q: %w", path, err)
 	}
-	return &RotatingWriter{path: path, max: maxBytes, f: f}, nil
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("obs: open journal %q: %w", path, err)
+	}
+	return &RotatingWriter{path: path, max: maxBytes, f: f, n: fi.Size()}, nil
 }
 
 // Write appends p, rotating first when the current generation is

@@ -160,3 +160,35 @@ func TestRotatingWriterConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenRotatingAppends: reopening a journal continues it, and the
+// bytes already there count toward the cap, so a reopened writer
+// rotates where one that never closed would have.
+func TestOpenRotatingAppends(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	if err := os.WriteFile(path, []byte("0123456789\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := OpenRotating(path, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Size(); got != 11 {
+		t.Fatalf("reopened Size() = %d, want the 11 bytes on disk", got)
+	}
+	for i := 0; i < 2; i++ { // the second write crosses the cap
+		if _, err := w.Write([]byte("abcdefghij\n")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path + RotatedSuffix)
+	if err != nil {
+		t.Fatalf("no rotation after the reopened file crossed the cap: %v", err)
+	}
+	if want := "0123456789\nabcdefghij\n"; string(old) != want {
+		t.Errorf("rotated generation = %q, want %q", old, want)
+	}
+}

@@ -3,10 +3,12 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"math/rand"
 
 	"github.com/icsnju/metamut-go/internal/compilersim"
+	"github.com/icsnju/metamut-go/internal/durable"
 	"github.com/icsnju/metamut-go/internal/engine"
 	"github.com/icsnju/metamut-go/internal/flight"
 	"github.com/icsnju/metamut-go/internal/fuzz"
@@ -72,7 +74,21 @@ type Campaign struct {
 	// From is the checkpoint file the campaign resumed from —
 	// CheckpointPath or its .prev — and "" for a fresh start.
 	From string
+	// PartialJournal reports that the resumed recorder replayed less
+	// than the whole campaign (no journal, or a rotation dropped its
+	// head): an anomaly already raised may fire again.
+	PartialJournal bool
+
+	journal io.Closer
 }
+
+// decodeSnapshot is engine.DecodeSnapshot; a test counts its calls.
+var decodeSnapshot = engine.DecodeSnapshot
+
+// errUnreadableCheckpoint marks a Build that failed because a
+// checkpoint exists but neither generation loads; the daemon restarts
+// such a job from scratch.
+var errUnreadableCheckpoint = errors.New("serve: checkpoint unreadable")
 
 // Build assembles the macro campaign (§3.4: shared coverage, havoc
 // stacking, flag sampling) that spec describes. It is the only place a
@@ -85,33 +101,33 @@ type Campaign struct {
 // identity fields from spec. A non-zero ecfg.Seed seeds the stream RNGs
 // in place of spec.Seed while the seed pool still derives from
 // spec.Seed (Table 6 runs both compilers over one corpus). fcfg, when
-// non-nil, attaches a flight recorder: its Journal, Watchdogs and
-// OnAnomaly are kept, the rest is filled from the spec.
+// non-nil, attaches a flight recorder: its Watchdogs and OnAnomaly are
+// kept, the rest is filled from the spec. With a journal path the
+// recorder journals to that file, rotated past maxBytes (0 = never),
+// under the one journal rule (openJournal); Close closes it.
 //
 // When a checkpoint loads from ecfg.CheckpointPath (or its .prev) the
-// campaign resumes. The snapshot then owns the seed, streams,
-// steps-per-epoch and scheduler policy; a spec budget larger than the
-// snapshot's extends the campaign, and a zero one keeps the snapshot's.
-// No checkpoint file means a fresh start; one that exists but cannot be
-// loaded is an error.
-func Build(spec JobSpec, ecfg engine.Config, fcfg *flight.Config) (*Campaign, error) {
+// campaign resumes, and its journal continues. The snapshot then owns
+// the seed, streams, steps-per-epoch and scheduler policy; a spec
+// budget larger than the snapshot's extends the campaign, and a zero
+// one keeps the snapshot's. No checkpoint file means a fresh start;
+// one that exists but cannot be loaded is an error, and so is a
+// checkpoint path another campaign holds locked. The checkpoint is
+// read once, for the resume and the journal repair alike.
+func Build(spec JobSpec, ecfg engine.Config, fcfg *flight.Config, journal string, maxBytes int64) (*Campaign, error) {
 	var snap *engine.Snapshot
+	var ckpt []byte
 	var from string
 	if ecfg.CheckpointPath != "" {
 		var err error
-		snap, from, err = engine.LoadWithFallback(ecfg.CheckpointPath)
+		ckpt, from, err = durable.Read(ecfg.CheckpointPath, func(data []byte) (err error) {
+			snap, err = decodeSnapshot(data)
+			return err
+		})
 		if err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return nil, err
+			return nil, fmt.Errorf("%w: %w", errUnreadableCheckpoint, err)
 		}
 	}
-	return build(spec, ecfg, fcfg, snap, from)
-}
-
-// build is Build over the checkpoint its caller already loaded from
-// ecfg.CheckpointPath (snap, read from the file from), or a fresh start
-// when snap is nil. It reads no checkpoint file, so the daemon, which
-// decodes a job's checkpoint to repair its journal, decodes it once.
-func build(spec JobSpec, ecfg engine.Config, fcfg *flight.Config, snap *engine.Snapshot, from string) (*Campaign, error) {
 	spec.Normalize()
 	streamSeed := ecfg.Seed
 	if streamSeed == 0 {
@@ -136,7 +152,7 @@ func build(spec JobSpec, ecfg engine.Config, fcfg *flight.Config, snap *engine.S
 	mutators := Arsenal(spec.MutatorSet)
 	pool := seeds.Generate(spec.SeedCount, spec.Seed)
 
-	var rec *flight.Recorder
+	c := &Campaign{Compiler: comp, Spec: spec, From: from}
 	if fcfg != nil {
 		f := *fcfg
 		f.Streams, f.TotalSteps, f.Seed = spec.Streams, spec.Steps, streamSeed
@@ -145,10 +161,21 @@ func build(spec JobSpec, ecfg engine.Config, fcfg *flight.Config, snap *engine.S
 		for i, mu := range mutators {
 			f.ArmNames[i] = mu.Name
 		}
+		var prefix []byte
+		c.PartialJournal = snap != nil
+		if journal != "" {
+			var w io.WriteCloser
+			var err error
+			if w, prefix, c.PartialJournal, err = openJournal(journal, maxBytes, snap, len(ckpt)); err != nil {
+				return nil, err
+			}
+			f.Journal, c.journal = w, w
+		}
 		if snap != nil {
 			f.Done = snap.Done
 		}
-		rec = flight.NewRecorder(f)
+		c.Flight = flight.NewRecorder(f)
+		c.Flight.RestoreWatchdogs(prefix)
 	}
 
 	mcfg := fuzz.DefaultMacroConfig()
@@ -159,23 +186,38 @@ func build(spec JobSpec, ecfg engine.Config, fcfg *flight.Config, snap *engine.S
 		w.Sched, _ = sched.New(spec.Sched, len(mutators)) // Validate vetted the policy
 		w.Stats().Instrument(reg)
 		w.InstrumentSched(reg)
-		if rec != nil {
-			w.AttachFlight(rec.Stream(stream))
+		if c.Flight != nil {
+			w.AttachFlight(c.Flight.Stream(stream))
 		}
 		return w
 	}
 	ecfg.Streams, ecfg.StepsPerEpoch, ecfg.TotalSteps = spec.Streams, spec.StepsPerEpoch, spec.Steps
 	ecfg.Seed = streamSeed
-	ecfg.Flight = rec
-	c := &Campaign{Compiler: comp, Flight: rec, Spec: spec, From: from}
-	if snap == nil {
-		c.Campaign = engine.New(ecfg, factory)
-		return c, nil
-	}
+	ecfg.Flight = c.Flight
 	var err error
-	c.Campaign, err = engine.ResumeSnapshot(ecfg.CheckpointPath, snap, from, ecfg, factory)
+	if snap == nil {
+		// New defers a lock failure to the first RunSlice; Build
+		// reports it now, before anyone counts on the campaign.
+		c.Campaign = engine.New(ecfg, factory)
+		err = c.LockErr()
+	} else {
+		c.Campaign, err = engine.ResumeSnapshot(ecfg.CheckpointPath, snap, from, ecfg, factory)
+	}
 	if err != nil {
+		c.Close()
 		return nil, err
 	}
 	return c, nil
+}
+
+// Close releases what the campaign holds: its checkpoint locks and its
+// flight journal file. Call it once, when done with the campaign.
+func (c *Campaign) Close() error {
+	if c.Campaign != nil {
+		c.Unlock()
+	}
+	if c.journal == nil {
+		return nil
+	}
+	return c.journal.Close()
 }

@@ -219,6 +219,60 @@ func TestDaemonDiskPressureLadder(t *testing.T) {
 	d.Stop()
 }
 
+// TestDaemonCappedJournalStaysCapped: a job whose journal the disk
+// governor capped keeps it capped across a kill and restart. The
+// restarted daemon's governor starts calm, but the job record says
+// capped, so the restarted job neither appends after the gap nor
+// repairs the journal: the file ends as the cap left it.
+func TestDaemonCappedJournalStaysCapped(t *testing.T) {
+	dir := t.TempDir()
+	d1 := newTestDaemon(t, dir, 1)
+	id, err := d1.Submit(testSpec("alpha", 11, 960))
+	if err != nil {
+		t.Fatal(err)
+	}
+	go d1.Run()
+	deadline := time.Now().Add(time.Minute)
+	for {
+		rec, _ := d1.Job(id)
+		if rec.Done > 0 {
+			break
+		}
+		if rec.State.Terminal() || time.Now().After(deadline) {
+			t.Fatalf("job made no progress before the cap: %+v", rec)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	d1.mu.Lock()
+	d1.applyDiskLevelLocked(heal.LevelCapJournals)
+	d1.saveLedgerLocked()
+	d1.mu.Unlock()
+	path := filepath.Join(JobDir(dir, id), JournalFile)
+	capped, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d1.Kill()
+	if rec, _ := d1.Job(id); rec.State.Terminal() {
+		t.Fatalf("job finished before the kill; the restart resumes nothing")
+	}
+
+	d2 := newTestDaemon(t, dir, 1)
+	go d2.Run()
+	rec := waitJobs(t, d2, []string{id})[id]
+	d2.Stop()
+	if rec.State != Done || !rec.JournalCapped {
+		t.Fatalf("restarted job ended %s, capped %v; want DONE and capped", rec.State, rec.JournalCapped)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(capped) {
+		t.Errorf("capped journal changed across the restart: %d bytes, then %d", len(capped), len(got))
+	}
+}
+
 // TestDaemonRestartAfterTornLedgerAndENOSPC is the satellite extension
 // of TestDaemonKillRestartByteIdentical: the first daemon generation
 // runs with torn ledger saves and transient checkpoint ENOSPC injected,

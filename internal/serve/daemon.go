@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -83,12 +81,10 @@ type ChaosHooks struct {
 // (HTTP handlers read rec and the flight recorder only — never the
 // campaign, which is mid-epoch most of the time).
 type job struct {
-	rec     *JobRecord
-	dir     string
-	camp    *Campaign
-	journal *os.File
-	gate    *gateWriter // journal tap the disk governor can cap
-	cancel  bool        // cancellation requested; honored at the next barrier
+	rec    *JobRecord
+	dir    string
+	camp   *Campaign
+	cancel bool // cancellation requested; honored at the next barrier
 
 	// slices counts slice attempts this daemon generation (the chaos
 	// harness's per-job site counter; restart-relative by design).
@@ -100,32 +96,6 @@ type job struct {
 	// jerrNoted latches the job's first journal write error so the disk
 	// governor books it as one fault, not one per slice forever.
 	jerrNoted bool
-}
-
-// gateWriter wraps a job's journal file so disk-pressure degradation
-// can flip it to discard mode (journal capped). The cap is one-way for
-// a job's lifetime: resuming appends after a gap would corrupt the
-// restart repair that trusts the journal to be a valid prefix.
-type gateWriter struct {
-	mu      sync.Mutex
-	w       io.Writer
-	discard bool
-}
-
-func (g *gateWriter) Write(p []byte) (int, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.discard {
-		return len(p), nil
-	}
-	return g.w.Write(p)
-}
-
-// SetDiscard caps the journal: writes report success and go nowhere.
-func (g *gateWriter) SetDiscard(v bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.discard = v
 }
 
 // Daemon is the multi-tenant campaign coordinator.
@@ -236,53 +206,24 @@ func (d *Daemon) recover() error {
 	return d.ledger.Save(d.cfg.StateDir)
 }
 
-// buildRuntime wraps a job's campaign (see Build) in the service's
-// bookkeeping: the journal repaired to exactly the barrier the
-// campaign continues from, the gate writer the disk governor can cap,
-// the anomaly tally the supervisor strikes on, and the admission-time
-// lock check. The job's results depend only on its spec: the daemon
-// contributes no randomness and no ordering.
+// buildRuntime wraps a job's campaign (see Build, which also continues
+// its journal) in the service's bookkeeping: the journal cap, the
+// anomaly tally the supervisor strikes on, and the restart from scratch
+// of a job whose checkpoint no longer loads. The job's results depend
+// only on its spec: the daemon contributes no randomness and no
+// ordering.
 func (d *Daemon) buildRuntime(rec *JobRecord) (*job, error) {
 	dir := JobDir(d.cfg.StateDir, rec.ID)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	ckptPath := filepath.Join(dir, CheckpointFile)
-	journalPath := filepath.Join(dir, JournalFile)
-	var snap *engine.Snapshot
-	ckpt, from, err := durable.Read(ckptPath, func(data []byte) (err error) {
-		snap, err = engine.DecodeSnapshot(data)
-		return err
-	})
-	var journalPrefix []byte
-	if err == nil {
-		if journalPrefix, err = repairJournal(journalPath, snap, len(ckpt)); err != nil {
-			return nil, fmt.Errorf("serve: job %s journal repair: %w", rec.ID, err)
-		}
-	} else {
-		snap = nil
-		if !errors.Is(err, fs.ErrNotExist) {
-			d.cfg.Logf("serve: job %s checkpoint unreadable (%v); restarting from scratch", rec.ID, err)
-			if err := durable.Remove(ckptPath); err != nil {
-				return nil, err
-			}
-		}
-		// No usable checkpoint: the job restarts from step zero and the
-		// journal with it.
-		if err := durable.Write(journalPath, nil, false); err != nil {
-			return nil, err
-		}
-	}
-	journalF, err := os.OpenFile(journalPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	gate := &gateWriter{w: journalF}
-	if d.heal.CapJournals() {
-		// Admitted mid-degradation: the journal starts (and stays)
-		// capped so it never carries a gap.
-		gate.SetDiscard(true)
+	journal := filepath.Join(dir, JournalFile)
+	if rec.JournalCapped || d.heal.CapJournals() {
+		// Capped for the job's lifetime, restarts included, so the file
+		// never carries a gap: Build neither writes nor replays it.
 		rec.JournalCapped = true
+		journal = ""
 	}
 	// anoms feeds the supervisor: the hook runs on the barrier goroutine
 	// (the coordinator, mid-slice) and the post-slice verdict reads the
@@ -297,38 +238,28 @@ func (d *Daemon) buildRuntime(rec *JobRecord) (*job, error) {
 	if d.cfg.Chaos != nil {
 		ecfg.CheckpointTransform = d.cfg.Chaos.CheckpointTransform
 	}
-	// The campaign resumes from the snapshot the journal was just
-	// repaired against; the checkpoint is decoded once per admission.
-	camp, err := build(rec.Spec, ecfg, &flight.Config{
-		Journal: gate,
+	fcfg := &flight.Config{
 		OnAnomaly: func(ev flight.Event) {
 			if kind, _ := ev.Data["watchdog"].(string); kind != "" {
 				anoms[kind]++
 			}
 		},
-	}, snap, from)
-	if err == nil {
-		// New defers a lock failure to the first RunSlice; a daemon must
-		// reject the job at admission instead.
-		if err = camp.LockErr(); err != nil {
-			camp.Unlock()
+	}
+	camp, err := Build(rec.Spec, ecfg, fcfg, journal, 0)
+	if errors.Is(err, errUnreadableCheckpoint) {
+		d.cfg.Logf("%v; restarting job %s from scratch", err, rec.ID)
+		if err := durable.Remove(ckptPath); err != nil {
+			return nil, err
 		}
+		camp, err = Build(rec.Spec, ecfg, fcfg, journal, 0)
 	}
 	if err != nil {
-		journalF.Close()
 		return nil, err
 	}
-	// The resumed recorder replays the repaired prefix so its anomaly
-	// detectors' epoch counters and latches continue where the killed
-	// run's left off — anomalies land at absolute journal positions —
-	// and its console counts the crashes and rewards from before the
-	// restart.
-	camp.Flight.RestoreWatchdogs(journalPrefix)
-	return &job{
-		rec: rec, dir: dir, camp: camp,
-		journal: journalF, gate: gate,
-		anoms: anoms,
-	}, nil
+	if camp.PartialJournal && journal != "" {
+		d.cfg.Logf("serve: job %s: flight watchdogs and report resume from a partial journal", rec.ID)
+	}
+	return &job{rec: rec, dir: dir, camp: camp, anoms: anoms}, nil
 }
 
 // Submit admits a job: quota and breaker checks, ledger entry, runtime
@@ -656,7 +587,7 @@ func (d *Daemon) applyDiskLevelLocked(lvl heal.Level) {
 			}
 		}
 		if lvl >= heal.LevelCapJournals && !j.rec.JournalCapped {
-			j.gate.SetDiscard(true)
+			j.camp.Flight.StopJournal()
 			j.rec.JournalCapped = true
 			d.cfg.Logf("serve: job %s: flight journal capped", id)
 		}
@@ -776,8 +707,7 @@ func (d *Daemon) finalizeLocked(j *job, state JobState, cause error) {
 		j.camp.Flight.End(j.rec.Done, j.rec.Edges, j.rec.Crashes)
 	}
 	d.writeTriage(j)
-	j.journal.Close()
-	j.camp.Unlock()
+	j.camp.Close()
 	d.drr.Remove(j.rec.Tenant, j.rec.ID)
 	delete(d.jobs, j.rec.ID)
 	j.rec.State = state
@@ -792,18 +722,14 @@ func (d *Daemon) finalizeLocked(j *job, state JobState, cause error) {
 }
 
 // finalizeComplete finishes the paperwork for a job whose campaign
-// completed before a kill wiped the bookkeeping: reconstruct the
-// journal's end event, re-run triage, mark DONE. Called from recover
-// (coordinator not yet running).
+// completed before a kill wiped the bookkeeping: journal the end event
+// (repair dropped any the killed run wrote), re-run triage, mark DONE.
+// Called from recover (coordinator not yet running).
 func (d *Daemon) finalizeComplete(j *job) {
 	d.refreshRecordLocked(j)
-	j.journal.Close()
-	if err := appendEndEvent(filepath.Join(j.dir, JournalFile),
-		j.camp.Epoch(), j.rec.Done, j.rec.Edges, j.rec.Crashes); err != nil {
-		d.cfg.Logf("serve: job %s end-event repair: %v", j.rec.ID, err)
-	}
+	j.camp.Flight.End(j.rec.Done, j.rec.Edges, j.rec.Crashes)
 	d.writeTriage(j)
-	j.camp.Unlock()
+	j.camp.Close()
 	j.rec.State = Done
 	d.m.finished.With(string(Done)).Inc()
 	d.cfg.Logf("serve: job %s completed before restart; bookkeeping finished", j.rec.ID)
@@ -878,9 +804,7 @@ func (d *Daemon) shutdown() {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		j := d.jobs[id]
-		j.journal.Close()
-		j.camp.Unlock()
+		d.jobs[id].camp.Close()
 	}
 	if err := d.ledger.Save(d.cfg.StateDir); err != nil {
 		d.cfg.Logf("serve: ledger save: %v", err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/icsnju/metamut-go/internal/durable"
 	"github.com/icsnju/metamut-go/internal/engine"
 )
 
@@ -316,5 +317,59 @@ func TestDaemonGracefulStopParksAndResumes(t *testing.T) {
 		if got := artifactsFor(t, dir, rec); got != want[id] {
 			t.Errorf("job %s diverged across graceful stop+resume", id)
 		}
+	}
+}
+
+// TestDaemonUnreadableCheckpointRestartsJob: a job whose checkpoint
+// loads from neither generation after a kill is restarted from step
+// zero, its journal started over, and finishes with the journal and
+// triage of a job that never stopped.
+func TestDaemonUnreadableCheckpointRestartsJob(t *testing.T) {
+	spec := testSpec("alpha", 11, 960)
+	ref := t.TempDir()
+	d := newTestDaemon(t, ref, 1)
+	id, err := d.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go d.Run()
+	want := artifactsFor(t, ref, waitJobs(t, d, []string{id})[id])
+	d.Stop()
+
+	dir := t.TempDir()
+	d1 := newTestDaemon(t, dir, 1)
+	if _, err := d1.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	go d1.Run()
+	deadline := time.Now().Add(time.Minute)
+	for {
+		rec, _ := d1.Job(id)
+		if rec.Done > 0 {
+			break
+		}
+		if rec.State.Terminal() || time.Now().After(deadline) {
+			t.Fatalf("job made no progress before the kill: %+v", rec)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	d1.Kill()
+	ckpt := filepath.Join(JobDir(dir, id), CheckpointFile)
+	for _, p := range []string{ckpt, ckpt + durable.PrevSuffix} {
+		if err := os.WriteFile(p, []byte("{torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	d2 := newTestDaemon(t, dir, 1)
+	go d2.Run()
+	rec := waitJobs(t, d2, []string{id})[id]
+	d2.Stop()
+	if rec.State != Done {
+		t.Fatalf("restarted job ended %s (%s), want DONE", rec.State, rec.Error)
+	}
+	if got := artifactsFor(t, dir, rec); got != want {
+		t.Errorf("job restarted over an unreadable checkpoint diverged (journal %d vs %d bytes)",
+			len(got.Journal), len(want.Journal))
 	}
 }

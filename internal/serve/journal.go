@@ -2,16 +2,87 @@ package serve
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"io/fs"
 	"os"
+	"slices"
 
 	"github.com/icsnju/metamut-go/internal/durable"
 	"github.com/icsnju/metamut-go/internal/engine"
 	"github.com/icsnju/metamut-go/internal/flight"
+	"github.com/icsnju/metamut-go/internal/obs"
 )
 
-// repairJournal rewinds a job's flight journal to the barrier its
-// resumed checkpoint captured, so the journal a killed-and-restarted
-// job finally produces is byte-identical to an uninterrupted run's.
+// OpenJournal starts a fresh flight journal at path (see openJournal).
+func OpenJournal(path string, maxBytes int64) (io.WriteCloser, error) {
+	w, _, _, err := openJournal(path, maxBytes, nil, 0)
+	return w, err
+}
+
+// openJournal is the one journal rule; Build applies it to mucfuzz
+// -macro and daemon jobs alike. A fresh campaign (snap nil) starts the
+// journal over: truncated, and an old rotated generation removed. A
+// campaign resumed from snap (its checkpoint ckptBytes long) continues
+// it: repaired to snap's barrier, with the repaired prefix returned for
+// the recorder to replay, so the journal ends byte-identical to an
+// uninterrupted run's. lost reports a prefix that does not start at the
+// campaign header (journal missing, or its head rotated away). Either
+// way the journal is opened for append, through an obs.RotatingWriter
+// when maxBytes > 0.
+func openJournal(path string, maxBytes int64, snap *engine.Snapshot, ckptBytes int) (w io.WriteCloser, prefix []byte, lost bool, err error) {
+	if snap == nil {
+		for _, e := range []error{os.Truncate(path, 0), os.Remove(path + obs.RotatedSuffix)} {
+			if !errors.Is(e, fs.ErrNotExist) {
+				err = errors.Join(err, e)
+			}
+		}
+	} else if prefix, err = repairJournal(path, snap, ckptBytes); err == nil {
+		head, _, _ := bytes.Cut(prefix, []byte{'\n'})
+		ev, derr := flight.DecodeLine(head)
+		lost = derr != nil || ev.Kind != "campaign"
+	}
+	if err != nil {
+		return nil, nil, false, err
+	}
+	if maxBytes > 0 {
+		w, err = obs.OpenRotating(path, maxBytes)
+	} else {
+		w, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	}
+	return w, prefix, lost, err
+}
+
+// repairJournal repairs the journal at path in place (see repairLines)
+// and returns the repaired bytes. A rotated generation beside it holds
+// the journal's head: the two are repaired as one logical journal, and
+// the rotated one is left alone unless the repair cuts into it — then
+// what is left of the journal moves to path.
+func repairJournal(path string, snap *engine.Snapshot, ckptBytes int) ([]byte, error) {
+	rotated, err := os.ReadFile(path + obs.RotatedSuffix)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	}
+	current, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	}
+	out, err := repairLines(slices.Concat(rotated, current), snap, ckptBytes)
+	if err != nil {
+		return nil, err
+	}
+	if bytes.HasPrefix(out, rotated) {
+		return out, durable.Write(path, out[len(rotated):], false)
+	}
+	if err := durable.Write(path, out, false); err != nil {
+		return nil, err
+	}
+	return out, os.Remove(path + obs.RotatedSuffix)
+}
+
+// repairLines rewinds journal bytes to the barrier a resumed checkpoint
+// captured, so the journal a killed-and-restarted campaign finally
+// produces is byte-identical to an uninterrupted run's.
 //
 // The engine journals an epoch's events *before* installing that
 // epoch's checkpoint and journals the checkpoint confirmation *after*,
@@ -31,14 +102,8 @@ import (
 // decoded line could rewrite its numbers.
 //
 // ckptBytes is the resumed checkpoint file's size (the confirmation
-// line's payload). Returns the repaired journal bytes — the prefix the
-// resumed recorder must replay to restore its watchdog memory.
-func repairJournal(path string, snap *engine.Snapshot, ckptBytes int) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
-
+// line's payload).
+func repairLines(data []byte, snap *engine.Snapshot, ckptBytes int) ([]byte, error) {
 	var out bytes.Buffer
 	sawCkpt := false
 	for _, line := range bytes.Split(data, []byte{'\n'}) {
@@ -56,7 +121,7 @@ func repairJournal(path string, snap *engine.Snapshot, ckptBytes int) ([]byte, e
 			break
 		}
 		if ev.Kind == "end" {
-			// The job will re-run its tail and re-emit completion.
+			// The campaign will re-run its tail and re-emit completion.
 			continue
 		}
 		if done, _ := ev.Data["done"].(float64); ev.Kind == "checkpoint" &&
@@ -75,21 +140,5 @@ func repairJournal(path string, snap *engine.Snapshot, ckptBytes int) ([]byte, e
 		}
 		out.Write(line)
 	}
-	return out.Bytes(), durable.Write(path, out.Bytes(), false)
-}
-
-// appendEndEvent writes the terminal end line for a job that was
-// killed after its final checkpoint but before (or during) journaling
-// completion — the one event repair cannot re-derive from epochs,
-// reconstructed from the finished campaign's merged stats.
-func appendEndEvent(path string, epoch, done, edges, crashes int) error {
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	line, err := flight.EncodeLine(flight.EndEvent(epoch, done, edges, crashes))
-	if err != nil {
-		return err
-	}
-	return durable.Write(path, append(data, line...), false)
+	return out.Bytes(), nil
 }

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"github.com/icsnju/metamut-go/internal/engine"
+	"github.com/icsnju/metamut-go/internal/flight"
 )
 
 const (
@@ -93,13 +95,66 @@ func TestRepairFreshStartTruncatesNothing(t *testing.T) {
 	}
 }
 
-func TestAppendEndEvent(t *testing.T) {
-	path := writeJournal(t, jlEpoch1+jlCkpt1)
-	if err := appendEndEvent(path, 3, 48, 9, 1); err != nil {
-		t.Fatal(err)
+// FuzzRepairJournal: repair never panics on any journal bytes. What it
+// keeps is a line-prefix of the input's decodable lines, end events
+// left out, each from an epoch no later than the snapshot's; at most
+// one line follows, the snapshot's own checkpoint confirmation. A
+// repaired journal repairs to itself.
+func FuzzRepairJournal(f *testing.F) {
+	whole := jlEpoch1 + jlCkpt1 + jlEpoch2 + jlCkpt2 + jlEpoch3 + jlEnd
+	f.Add([]byte(whole), 2, 32, 111)
+	f.Add([]byte(jlEpoch1+jlCkpt1+jlEpoch2), 2, 32, 111)
+	f.Add([]byte(jlEpoch1+jlCkpt1+`{"epoch":2,"stream":0,"ki`), 1, 16, 90)
+	f.Add([]byte("\n\nnull\n"+jlEnd+jlEpoch1), 3, 48, 0)
+	f.Add([]byte{}, 0, 0, 50)
+	f.Fuzz(func(t *testing.T, data []byte, epoch, done, ckptBytes int) {
+		snap := &engine.Snapshot{Epoch: epoch, Done: done}
+		out, err := repairLines(data, snap, ckptBytes)
+		if err != nil {
+			t.Fatalf("repair failed: %v", err)
+		}
+		if len(out) > 0 && out[len(out)-1] != '\n' {
+			t.Fatalf("repaired journal does not end in a newline: %q", out)
+		}
+		var kept [][]byte
+		for _, line := range bytes.Split(data, []byte{'\n'}) {
+			if ev, err := flight.DecodeLine(line); len(line) > 0 && (err != nil || ev.Kind != "end") {
+				kept = append(kept, line)
+			}
+		}
+		got := bytes.Split(bytes.TrimSuffix(out, []byte{'\n'}), []byte{'\n'})
+		if len(out) == 0 {
+			got = nil
+		}
+		if !isLinePrefix(got, kept, snap) {
+			confirm, err := flight.EncodeLine(flight.CheckpointEvent(epoch, done, ckptBytes))
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := len(got) - 1
+			if last < 0 || string(got[last])+"\n" != string(confirm) || !isLinePrefix(got[:last], kept, snap) {
+				t.Fatalf("repair of %q at epoch %d, done %d kept more than a valid line-prefix plus the confirmation:\n%q",
+					data, epoch, done, out)
+			}
+		}
+		again, err := repairLines(out, snap, ckptBytes)
+		if err != nil || !bytes.Equal(again, out) {
+			t.Fatalf("repair is not idempotent: %q, then %q (%v)", out, again, err)
+		}
+	})
+}
+
+// isLinePrefix reports whether got is a prefix of want made of lines
+// that decode to events from epochs no later than snap's.
+func isLinePrefix(got, want [][]byte, snap *engine.Snapshot) bool {
+	if len(got) > len(want) {
+		return false
 	}
-	want := jlEpoch1 + jlCkpt1 + jlEnd
-	if got := readJournal(t, path); got != want {
-		t.Errorf("after appendEndEvent:\n%qwant:\n%q", got, want)
+	for i, line := range got {
+		ev, err := flight.DecodeLine(line)
+		if err != nil || ev.Epoch > snap.Epoch || !bytes.Equal(line, want[i]) {
+			return false
+		}
 	}
+	return true
 }
