@@ -54,9 +54,12 @@ test:
 # resilience layer (breaker, chaos injector) is here because its whole
 # job is concurrent fault handling. detlint rides along so the invariant
 # gate (including its repo-wide self-check test) is itself race-vetted.
+# cast and muast are here for the parse cache's shared units: their node
+# tables are built in Check, never on a first query, so concurrent
+# queries only read.
 race:
 	$(GO) test -race ./internal/obs ./internal/fuzz ./internal/compilersim \
-		./internal/mutcheck \
+		./internal/cast ./internal/muast ./internal/mutcheck \
 		./internal/engine ./internal/resil ./internal/resil/chaos \
 		./internal/sched ./internal/flight ./internal/detlint \
 		./internal/serve ./internal/serve/heal
@@ -65,7 +68,8 @@ race:
 # corpus: the mutant validator; the checkpoint and ledger decoders
 # that must return a value or an error, never panic, on any bytes; the
 # flight journal repair, which must keep a valid line-prefix and repair
-# its own output to itself; and
+# its own output to itself; the daemon's job-spec decode, which must
+# give a spec or an error and round-trip every spec it admits; and
 # the front end's lexer and walker, held to their former map- and
 # closure-driven references. Go
 # fuzzes one target per invocation; -parallel 2 keeps it to two
@@ -78,6 +82,7 @@ fuzz-smoke:
 	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzCheckpointLoad$$' ./internal/engine
 	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzLedgerLoad$$' ./internal/serve
 	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzRepairJournal$$' ./internal/serve
+	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzJobSpec$$' ./internal/serve
 	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzLexMatchesReference$$' ./internal/cast
 	$(GO) test $(FUZZFLAGS) -fuzz '^FuzzWalkOrder$$' ./internal/cast
 

@@ -58,7 +58,7 @@ func grayCExprStmts(m *muast.Manager) []cast.Stmt {
 		if !ok || fd.Body == nil {
 			continue
 		}
-		cast.Walk(fd.Body, func(n cast.Node) bool {
+		for _, n := range m.TU.Subtree(fd.Body) {
 			if cs, ok := n.(*cast.CompoundStmt); ok {
 				for _, s := range cs.Stmts {
 					if _, isExpr := s.(*cast.ExprStmt); isExpr {
@@ -66,8 +66,7 @@ func grayCExprStmts(m *muast.Manager) []cast.Stmt {
 					}
 				}
 			}
-			return true
-		})
+		}
 	}
 	return out
 }
@@ -96,15 +95,15 @@ func grayCReplaceConstant(m *muast.Manager) bool {
 		if !ok || fd.Body == nil {
 			continue
 		}
-		cast.Walk(fd.Body, func(n cast.Node) bool {
-			if _, isCase := n.(*cast.CaseStmt); isCase {
-				return false
+		body := m.TU.Subtree(fd.Body)
+		for i := 0; i < len(body); i++ {
+			switch x := body[i].(type) {
+			case *cast.CaseStmt:
+				i += len(m.TU.Subtree(x)) - 1 // skip the case's subtree
+			case *cast.IntegerLiteral:
+				lits = append(lits, x)
 			}
-			if il, ok := n.(*cast.IntegerLiteral); ok {
-				lits = append(lits, il)
-			}
-			return true
-		})
+		}
 	}
 	if len(lits) == 0 {
 		return false

@@ -11,7 +11,7 @@ package cast
 //
 //   - Everything reachable from a TranslationUnit returned by
 //     ParseWithArena/ParseAndCheckArena is owned by the arena and is
-//     valid only until the next Reset.
+//     valid only until the next Reset — its node table included.
 //   - Reset is the caller's statement that no node from the previous
 //     parse is referenced anymore. Per-stream compile contexts reset at
 //     the top of each compile; nothing may hold a node across that
@@ -105,6 +105,12 @@ type Arena struct {
 	// ptrMemo dedups pointer types created during Check (array/function
 	// decay, address-of). Values are arena-owned, so Reset clears it.
 	ptrMemo map[QualType]*PointerType
+
+	// tblOrder and tblLinks back the node tables of the units parsed
+	// into this arena (BuildTable cuts each unit's table off their
+	// tails); Reset truncates them.
+	tblOrder []Node
+	tblLinks []link
 }
 
 // NewArena returns an empty arena.
@@ -175,6 +181,8 @@ func (a *Arena) Reset() {
 	a.scFields = a.scFields[:0]
 	a.scEnums = a.scEnums[:0]
 	a.scQTs = a.scQTs[:0]
+	a.tblOrder = a.tblOrder[:0]
+	a.tblLinks = a.tblLinks[:0]
 	if a.ptrMemo != nil {
 		clear(a.ptrMemo)
 	}

@@ -105,10 +105,13 @@ func (r SourceRange) Contains(other SourceRange) bool {
 	return r.Begin <= other.Begin && other.End <= r.End
 }
 
-// Node is the interface implemented by every AST node.
+// Node is the interface implemented by every AST node. Only this
+// package's node types implement it: the node table stamps each node's
+// index through nodeBase.
 type Node interface {
 	Kind() NodeKind
 	Range() SourceRange
+	nodeBase() *base
 }
 
 // Expr is implemented by expression nodes; Type returns the node's
@@ -132,10 +135,16 @@ type Decl interface {
 	declNode()
 }
 
-// base carries the source extent shared by all nodes.
-type base struct{ Rng SourceRange }
+// base carries the source extent shared by all nodes, and the node's
+// index in its unit's node table (see table.go).
+type base struct {
+	Rng SourceRange
+	idx int32
+}
 
 func (b *base) Range() SourceRange { return b.Rng }
+
+func (b *base) nodeBase() *base { return b }
 
 // SetRange updates a node's source extent (used by the parser).
 func (b *base) SetRange(begin, end int) { b.Rng = SourceRange{begin, end} }
@@ -174,6 +183,10 @@ type TranslationUnit struct {
 	// by ParseWithArena; nil for units assembled by hand. See Arena for
 	// the ownership rules.
 	arena *Arena
+	// order and links are the unit's node table, filled by BuildTable
+	// (see table.go); nil until then.
+	order []Node
+	links []link
 }
 
 // Arena returns the arena that owns this unit's nodes, or nil when the

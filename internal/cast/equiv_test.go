@@ -55,8 +55,10 @@ func walkOrder(walk func(Node, Visitor), root Node, pruneEvery int) []Node {
 	return out
 }
 
-// checkWalkMatchesReference compares Walk, Children and the parent map
-// with the former closure-driven walk over the tree at root.
+// checkWalkMatchesReference compares Walk, Children, and the node
+// table's subtrees and parents with the former closure-driven walk over
+// the tree at root. A unit without a table (or any other root) is
+// served by the fallback walks, which must agree just the same.
 func checkWalkMatchesReference(t *testing.T, root Node) {
 	t.Helper()
 	for _, prune := range []int{0, 2, 3, 7} {
@@ -72,15 +74,22 @@ func checkWalkMatchesReference(t *testing.T, root Node) {
 			t.Fatalf("node %d (%s): Children differs from the reference", i, n.Kind())
 		}
 	}
-	pm := BuildParentMapInto(nil, root)
-	ref := ParentMap{}
-	refBuildParents(ref, root)
-	if len(pm) != len(ref) {
-		t.Fatalf("parent map has %d entries, reference %d", len(pm), len(ref))
+	tu, ok := root.(*TranslationUnit)
+	if !ok {
+		return
 	}
-	for n, p := range ref {
-		if pm[n] != p {
-			t.Fatalf("parent of a %s differs from the reference", n.Kind())
+	if tu.order != nil && len(tu.order) != len(all) {
+		t.Fatalf("table holds %d nodes, reference walk %d", len(tu.order), len(all))
+	}
+	ref := map[Node]Node{}
+	refBuildParents(ref, root)
+	pm := tu.Parents()
+	for i, n := range all {
+		if !sameNodes(tu.Subtree(n), walkOrder(refWalk, n, 0)) {
+			t.Fatalf("node %d (%s): Subtree differs from the reference walk", i, n.Kind())
+		}
+		if pm.Of(n) != ref[n] {
+			t.Fatalf("node %d (%s): parent differs from the reference", i, n.Kind())
 		}
 	}
 }
@@ -97,9 +106,10 @@ func sameNodes(a, b []Node) bool {
 	return true
 }
 
-// FuzzWalkOrder requires Walk, Children and the parent map to visit the
+// FuzzWalkOrder requires Walk, Children and the node table to visit the
 // same nodes in the same order as the former walk on any input that
-// parses, including when the visitor prunes subtrees.
+// parses, including when the visitor prunes subtrees, and the table's
+// subtrees and parents to match the reference on the checked tree.
 func FuzzWalkOrder(f *testing.F) {
 	for _, src := range seeds.Generate(24, 7000) {
 		f.Add(src)
@@ -116,6 +126,10 @@ func FuzzWalkOrder(f *testing.F) {
 		tu, err := Parse(src)
 		if err != nil {
 			return
+		}
+		_ = Check(tu) // a sema error still leaves the table built
+		if tu.order == nil {
+			t.Fatal("Check left the unit without a node table")
 		}
 		checkWalkMatchesReference(t, tu)
 	})
@@ -140,10 +154,39 @@ func TestWalkSkipsTypedNil(t *testing.T) {
 		&RecordDecl{Fields: []*FieldDecl{{Name: "a"}, nil}},
 	}}
 	checkWalkMatchesReference(t, root)
+	if root.order != nil {
+		t.Fatal("a hand-built unit has a node table")
+	}
 	var typedNil *IfStmt
 	Walk(typedNil, func(Node) bool { t.Fatal("typed-nil root visited"); return true })
 	if Children(typedNil) != nil || Children(nil) != nil {
 		t.Fatal("Children of a nil node is not nil")
+	}
+}
+
+// TestTableFallsBackOutsideItself checks that a checked unit's table
+// answers only for its own nodes: a node of another checked unit —
+// whose stamped index is in range of this table — and a hand-built node
+// are walked, and have no parent here.
+func TestTableFallsBackOutsideItself(t *testing.T) {
+	src := seeds.Generate(2, 7000)
+	a, errA := ParseAndCheck(src[0])
+	b, errB := ParseAndCheck(src[1])
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	stray := &ReturnStmt{Value: &IntegerLiteral{Value: 1}}
+	others := append(walkOrder(refWalk, b, 0), stray, stray.Value)
+	for i, n := range others {
+		if _, in := a.index(n); in {
+			t.Fatalf("node %d (%s) of another tree found in the table", i, n.Kind())
+		}
+		if !sameNodes(a.Subtree(n), walkOrder(refWalk, n, 0)) {
+			t.Fatalf("node %d (%s): Subtree differs from the reference walk", i, n.Kind())
+		}
+		if a.Parents().Of(n) != nil {
+			t.Fatalf("node %d (%s) of another tree has a parent in this one", i, n.Kind())
+		}
 	}
 }
 

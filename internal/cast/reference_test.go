@@ -528,7 +528,7 @@ func refChildren(n Node) []Node {
 	return out
 }
 
-func refBuildParents(pm ParentMap, n Node) {
+func refBuildParents(pm map[Node]Node, n Node) {
 	refEachChild(n, func(c Node) {
 		pm[c] = n
 		refBuildParents(pm, c)

@@ -65,8 +65,11 @@ var semaPool = sync.Pool{New: func() any { return &sema{} }}
 // practical subset of C's semantic rules — the rules a mutated program is
 // most likely to break (undeclared names, void-result uses, bad operand
 // types, arity errors, const violations, missing labels). It returns nil
-// when the program is semantically valid, or a SemaErrors value.
+// when the program is semantically valid, or a SemaErrors value. It
+// first builds tu's node table (BuildTable), which the checker's own
+// scans read.
 func Check(tu *TranslationUnit) error {
+	tu.BuildTable()
 	s := semaPool.Get().(*sema)
 	s.tu = tu
 	s.arena = tu.arena
@@ -251,12 +254,11 @@ func (s *sema) checkFunctionBody(fd *FunctionDecl) {
 		s.declare(pv.Name, pv)
 	}
 	// Pre-scan labels: goto may jump forward.
-	Walk(fd.Body, func(n Node) bool {
+	for _, n := range s.tu.Subtree(fd.Body) {
 		if ls, ok := n.(*LabelStmt); ok {
 			s.labels[ls.Name] = true
 		}
-		return true
-	})
+	}
 	s.checkStmt(fd.Body)
 	for lbl, n := range s.labelUses {
 		if !s.labels[lbl] && n > 0 {

@@ -12,7 +12,7 @@ func Walk(n Node, v Visitor) {
 		return
 	}
 	w := walker{visit: v}
-	w.node(nil, n)
+	w.node(n)
 }
 
 // isNilNode guards against typed-nil interface values.
@@ -107,27 +107,48 @@ func isNilNode(n Node) bool {
 }
 
 // walker is the package's one AST traversal: Walk drives it with a
-// visitor, BuildParentMapInto with a parent map.
+// visitor, BuildTable (table.go) with the node table it fills.
 type walker struct {
-	visit   Visitor   // called pre-order when set; false prunes
-	parents ParentMap // records every node's parent when set
+	visit Visitor // called pre-order when set; false prunes
+
+	// Table mode (visit nil): each node appends one entry to order and
+	// links. Indices are relative to start, where the table's root
+	// sits; cur is the index of the node whose children are being
+	// handed out (-1 above the root). stamp records each node's index
+	// in its base.
+	order []Node
+	links []link
+	start int
+	cur   int32
+	stamp bool
 }
 
-// node handles one non-nil node reached from parent.
-func (w *walker) node(parent, n Node) {
-	if w.parents != nil {
-		w.parents[n] = parent
+// node handles one non-nil node.
+func (w *walker) node(n Node) {
+	if w.visit != nil {
+		if w.visit(n) {
+			w.children(n)
+		}
+		return
 	}
-	if w.visit == nil || w.visit(n) {
-		w.children(n)
+	i := int32(len(w.order) - w.start)
+	if w.stamp {
+		n.nodeBase().idx = i
 	}
+	w.order = append(w.order, n)
+	w.links = append(w.links, link{parent: w.cur})
+	parent := w.cur
+	w.cur = i
+	w.children(n)
+	w.cur = parent
+	w.links[w.start+int(i)].end = int32(len(w.order) - w.start)
 }
 
 // child handles an interface-typed child, skipping nil and typed nil.
 // Pointer-typed children are nil-checked where they are read.
-func (w *walker) child(parent, c Node) {
+func (w *walker) child(c Node) {
 	if c != nil && !isNilNode(c) {
-		w.node(parent, c)
+		w.node(c)
 	}
 }
 
@@ -137,106 +158,106 @@ func (w *walker) children(n Node) {
 	switch x := n.(type) {
 	case *TranslationUnit:
 		for _, d := range x.Decls {
-			w.child(n, d)
+			w.child(d)
 		}
 	case *FunctionDecl:
 		for _, pv := range x.Params {
 			if pv != nil {
-				w.node(n, pv)
+				w.node(pv)
 			}
 		}
 		if x.Body != nil {
-			w.node(n, x.Body)
+			w.node(x.Body)
 		}
 	case *VarDecl:
-		w.child(n, x.Init)
+		w.child(x.Init)
 	case *RecordDecl:
 		for _, fd := range x.Fields {
 			if fd != nil {
-				w.node(n, fd)
+				w.node(fd)
 			}
 		}
 	case *EnumDecl:
 		for _, c := range x.Constants {
 			if c != nil {
-				w.node(n, c)
+				w.node(c)
 			}
 		}
 	case *EnumConstantDecl:
-		w.child(n, x.Value)
+		w.child(x.Value)
 	case *CompoundStmt:
 		for _, s := range x.Stmts {
-			w.child(n, s)
+			w.child(s)
 		}
 	case *DeclStmt:
 		for _, d := range x.Decls {
-			w.child(n, d)
+			w.child(d)
 		}
 	case *ExprStmt:
-		w.child(n, x.X)
+		w.child(x.X)
 	case *IfStmt:
-		w.child(n, x.Cond)
-		w.child(n, x.Then)
-		w.child(n, x.Else)
+		w.child(x.Cond)
+		w.child(x.Then)
+		w.child(x.Else)
 	case *WhileStmt:
-		w.child(n, x.Cond)
-		w.child(n, x.Body)
+		w.child(x.Cond)
+		w.child(x.Body)
 	case *DoStmt:
-		w.child(n, x.Body)
-		w.child(n, x.Cond)
+		w.child(x.Body)
+		w.child(x.Cond)
 	case *ForStmt:
-		w.child(n, x.Init)
-		w.child(n, x.Cond)
-		w.child(n, x.Post)
-		w.child(n, x.Body)
+		w.child(x.Init)
+		w.child(x.Cond)
+		w.child(x.Post)
+		w.child(x.Body)
 	case *SwitchStmt:
-		w.child(n, x.Cond)
-		w.child(n, x.Body)
+		w.child(x.Cond)
+		w.child(x.Body)
 	case *CaseStmt:
-		w.child(n, x.Value)
-		w.child(n, x.Body)
+		w.child(x.Value)
+		w.child(x.Body)
 	case *DefaultStmt:
-		w.child(n, x.Body)
+		w.child(x.Body)
 	case *ReturnStmt:
-		w.child(n, x.Value)
+		w.child(x.Value)
 	case *LabelStmt:
-		w.child(n, x.Body)
+		w.child(x.Body)
 	case *BinaryOperator:
-		w.child(n, x.LHS)
-		w.child(n, x.RHS)
+		w.child(x.LHS)
+		w.child(x.RHS)
 	case *UnaryOperator:
-		w.child(n, x.X)
+		w.child(x.X)
 	case *CallExpr:
-		w.child(n, x.Fn)
+		w.child(x.Fn)
 		for _, a := range x.Args {
-			w.child(n, a)
+			w.child(a)
 		}
 	case *ArraySubscriptExpr:
-		w.child(n, x.Base)
-		w.child(n, x.Index)
+		w.child(x.Base)
+		w.child(x.Index)
 	case *MemberExpr:
-		w.child(n, x.Base)
+		w.child(x.Base)
 	case *CastExpr:
-		w.child(n, x.X)
+		w.child(x.X)
 	case *ConditionalExpr:
-		w.child(n, x.Cond)
-		w.child(n, x.Then)
-		w.child(n, x.Else)
+		w.child(x.Cond)
+		w.child(x.Then)
+		w.child(x.Else)
 	case *ParenExpr:
-		w.child(n, x.X)
+		w.child(x.X)
 	case *SizeofExpr:
-		w.child(n, x.X)
+		w.child(x.X)
 	case *InitListExpr:
 		for _, e := range x.Inits {
-			w.child(n, e)
+			w.child(e)
 		}
 	case *CompoundLiteralExpr:
 		if x.Init != nil {
-			w.node(n, x.Init)
+			w.node(x.Init)
 		}
 	case *CommaExpr:
-		w.child(n, x.LHS)
-		w.child(n, x.RHS)
+		w.child(x.LHS)
+		w.child(x.RHS)
 	}
 }
 
@@ -256,9 +277,17 @@ func Children(n Node) []Node {
 }
 
 // CollectKind returns all nodes of the given kind under root, in source
-// order.
+// order. A checked unit is scanned through its node table.
 func CollectKind(root Node, k NodeKind) []Node {
 	var out []Node
+	if tu, ok := root.(*TranslationUnit); ok && tu != nil && tu.order != nil {
+		for _, n := range tu.order {
+			if n.Kind() == k {
+				out = append(out, n)
+			}
+		}
+		return out
+	}
 	Walk(root, func(n Node) bool {
 		if n.Kind() == k {
 			out = append(out, n)
@@ -273,30 +302,4 @@ func CountNodes(root Node) int {
 	n := 0
 	Walk(root, func(Node) bool { n++; return true })
 	return n
-}
-
-// ParentMap maps each node to its parent, built with BuildParentMapInto.
-type ParentMap map[Node]Node
-
-// BuildParentMapInto fills pm (allocating it when nil) with the parent of
-// every node under root and returns it. Hot loops pass a cleared map to
-// reuse its buckets across mutants.
-func BuildParentMapInto(pm ParentMap, root Node) ParentMap {
-	if pm == nil {
-		pm = ParentMap{}
-	}
-	w := walker{parents: pm}
-	w.children(root)
-	return pm
-}
-
-// EnclosingFunction returns the FunctionDecl that lexically contains n, or
-// nil when n is at file scope.
-func (pm ParentMap) EnclosingFunction(n Node) *FunctionDecl {
-	for cur := pm[n]; cur != nil; cur = pm[cur] {
-		if fd, ok := cur.(*FunctionDecl); ok {
-			return fd
-		}
-	}
-	return nil
 }

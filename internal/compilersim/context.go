@@ -203,11 +203,12 @@ func (cx *Context) Front(src string) error {
 			feTrace.HitStr("parse.error")
 		}
 	} else {
-		// Parse-tree coverage: node-kind edges in source order.
-		cast.Walk(tu, func(n cast.Node) bool {
+		// Parse-tree coverage: node-kind edges in source order, scanned
+		// off the node table that Check then reuses.
+		tu.BuildTable()
+		for _, n := range tu.Subtree(tu) {
 			feTrace.Hit(astSiteHash[n.Kind()])
-			return true
-		})
+		}
 		if cerr := cast.Check(tu); cerr != nil {
 			tc.CheckOK = false
 			ferr = cerr

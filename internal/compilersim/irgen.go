@@ -34,6 +34,7 @@ func (f Features) Has(key string) bool { return f[key] > 0 }
 // generator and valid only until the next generate call — the same
 // borrow discipline as cast.Arena.
 type irgen struct {
+	tu    *cast.TranslationUnit // the unit being lowered; its node table serves the label scan
 	prog  ir.Program
 	fn    *ir.Func
 	cur   *ir.Block
@@ -143,6 +144,7 @@ func (g *irgen) generate(tu *cast.TranslationUnit) *ir.Program {
 	g.continueStack = g.continueStack[:0]
 	clear(g.globals)
 	clear(g.funcs)
+	g.tu = tu
 
 	// First pass: globals.
 	for _, d := range tu.Decls {
@@ -156,6 +158,7 @@ func (g *irgen) generate(tu *cast.TranslationUnit) *ir.Program {
 			g.genFunction(fd)
 		}
 	}
+	g.tu = nil
 	return &g.prog
 }
 
@@ -301,7 +304,7 @@ func (g *irgen) genFunction(fd *cast.FunctionDecl) {
 	// computation and which contains no return statements) that Clang
 	// issue #63762 hinges on.
 	emptyLabels, returns, gotos := 0, 0, 0
-	cast.Walk(fd.Body, func(n cast.Node) bool {
+	for _, n := range g.tu.Subtree(fd.Body) {
 		switch x := n.(type) {
 		case *cast.LabelStmt:
 			if _, dup := g.labels[x.Name]; !dup {
@@ -317,8 +320,7 @@ func (g *irgen) genFunction(fd *cast.FunctionDecl) {
 		case *cast.GotoStmt:
 			gotos++
 		}
-		return true
-	})
+	}
 	if fd.Ret.IsVoid() && emptyLabels > 0 && returns == 0 && gotos > 0 {
 		g.feats.Add("fn.void.labels.noreturn")
 	}

@@ -275,6 +275,8 @@ type mutationArena struct {
 	arena *cast.Arena
 	rng   *rand.Rand
 	mgr   *muast.Manager
+	// exprs is the splice's candidate buffer, reused across parses.
+	exprs []cast.Expr
 }
 
 // newMutationArena returns an empty arena whose manager draws from rng.
@@ -307,17 +309,13 @@ func uncheckedRewriteArena(src string, a *mutationArena) (string, bool) {
 	if err != nil {
 		return "", false
 	}
-	return spliceWith(mgr, a.rng)
-}
-
-// spliceWith draws the expression pair and performs the splice.
-func spliceWith(mgr *muast.Manager, rng *rand.Rand) (string, bool) {
-	exprs := mgr.Exprs(nil, nil)
+	exprs := muast.FindAppend(mgr, a.exprs[:0], nil, nil)
+	a.exprs = exprs
 	if len(exprs) < 2 {
 		return "", false
 	}
-	dst := exprs[rng.Intn(len(exprs))]
-	from := exprs[rng.Intn(len(exprs))]
+	dst := exprs[a.rng.Intn(len(exprs))]
+	from := exprs[a.rng.Intn(len(exprs))]
 	if dst == from || dst.Range().Contains(from.Range()) ||
 		from.Range().Contains(dst.Range()) {
 		return "", false

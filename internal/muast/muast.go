@@ -40,14 +40,10 @@ type Manager struct {
 	RW *cast.Rewriter
 
 	rng     *rand.Rand
-	parents cast.ParentMap
-	// parentsOK reports whether parents describes TU; ResetTo clears
-	// the map in place and drops the flag so Parents stays lazy.
-	parentsOK bool
-	nameSeq   int
-	idents    map[string]bool
-	fuel      int
-	budget    int
+	nameSeq int
+	idents  map[string]bool
+	fuel    int
+	budget  int
 }
 
 // NewManager parses and checks src and returns a mutation context using
@@ -83,10 +79,9 @@ func NewManagerFromTU(tu *cast.TranslationUnit, rng *rand.Rand) *Manager {
 // sequence and identifier set, making the manager equivalent to a
 // freshly constructed one over the same translation unit. Batched
 // fuzzers reuse one manager across the mutants of a step instead of
-// allocating a rewriter per try. The parent map is a pure cache of the
-// immutable TU and survives; the idents map does NOT — generated names
-// are recorded into it, so keeping it would shift GenerateUniqueName
-// results away from fresh-manager behavior.
+// allocating a rewriter per try. The idents map does NOT survive —
+// generated names are recorded into it, so keeping it would shift
+// GenerateUniqueName results away from fresh-manager behavior.
 func (m *Manager) Reset() {
 	m.RW.Reset()
 	m.fuel = DefaultFuel
@@ -96,15 +91,10 @@ func (m *Manager) Reset() {
 }
 
 // ResetTo rebinds the manager to tu, making it equivalent to
-// NewManagerFromTU(tu, m.Rand()) while reusing the rewriter and the
-// parent map's storage. The parent map is cleared unconditionally: a TU
-// re-parsed into a reset arena comes back at the same address, so "same
-// pointer" never means "same tree".
+// NewManagerFromTU(tu, m.Rand()) while reusing the rewriter.
 func (m *Manager) ResetTo(tu *cast.TranslationUnit) {
 	m.TU = tu
 	m.RW.ResetTo(tu.Source)
-	clear(m.parents)
-	m.parentsOK = false
 	m.Reset()
 }
 
@@ -228,20 +218,26 @@ func (m *Manager) GlobalVars() []*cast.VarDecl {
 // Find returns, in cast.Walk order, every node of type T under root
 // (the whole unit when root is nil) that satisfies pred; a nil pred
 // selects all. It is the one candidate query: the typed queries below
-// and the mutators' collection steps are all written on it.
+// and the mutators' collection steps are all written on it. It scans
+// root's run of the unit's node table (cast.TranslationUnit.Subtree).
 func Find[T cast.Node](m *Manager, root cast.Node, pred func(T) bool) []T {
+	return FindAppend(m, nil, root, pred)
+}
+
+// FindAppend is Find appending to dst, for hot callers that reuse one
+// buffer across trees.
+func FindAppend[T cast.Node](m *Manager, dst []T, root cast.Node, pred func(T) bool) []T {
 	if root == nil {
 		root = m.TU
 	}
-	var out []T
-	cast.Walk(root, func(n cast.Node) bool {
+	n0 := len(dst)
+	for _, n := range m.TU.Subtree(root) {
 		if x, ok := n.(T); ok && (pred == nil || pred(x)) {
-			out = append(out, x)
+			dst = append(dst, x)
 		}
-		return true
-	})
-	m.charge(1 + len(out))
-	return out
+	}
+	m.charge(1 + len(dst) - n0)
+	return dst
 }
 
 // LocalVars returns all block-scope variable declarations under fn (or
@@ -265,14 +261,8 @@ func (m *Manager) Stmts(root cast.Node, pred func(cast.Stmt) bool) []cast.Stmt {
 	return Find(m, root, pred)
 }
 
-// Parents lazily computes and caches the parent map.
-func (m *Manager) Parents() cast.ParentMap {
-	if !m.parentsOK {
-		m.parents = cast.BuildParentMapInto(m.parents, m.TU)
-		m.parentsOK = true
-	}
-	return m.parents
-}
+// Parents returns the unit's parent view, read from its node table.
+func (m *Manager) Parents() cast.Parents { return m.TU.Parents() }
 
 // ReturnsOf returns all return statements lexically inside fn.
 func (m *Manager) ReturnsOf(fn *cast.FunctionDecl) []*cast.ReturnStmt {
@@ -321,8 +311,14 @@ func (m *Manager) InsertBefore(n cast.Node, text string) bool {
 
 // InsertAfter inserts text after the node.
 func (m *Manager) InsertAfter(n cast.Node, text string) bool {
+	return m.InsertAfterRange(n.Range(), text)
+}
+
+// InsertAfterRange inserts text after a source range that is not a
+// node's (a declarator's name, say).
+func (m *Manager) InsertAfterRange(r cast.SourceRange, text string) bool {
 	m.charge(1)
-	return m.RW.InsertTextAfter(n.Range(), text)
+	return m.RW.InsertTextAfter(r, text)
 }
 
 // RemoveParmFromFuncDecl removes a parameter from a function declaration,
@@ -429,24 +425,22 @@ func (m *Manager) CheckAssignment(lhsTy, rhsTy cast.QualType) bool {
 // IsSideEffectFree conservatively reports whether evaluating e twice is
 // safe (no assignments, calls, or ++/--).
 func (m *Manager) IsSideEffectFree(e cast.Expr) bool {
-	safe := true
-	cast.Walk(e, func(n cast.Node) bool {
+	for _, n := range m.TU.Subtree(e) {
 		switch x := n.(type) {
 		case *cast.CallExpr:
-			safe = false
+			return false
 		case *cast.BinaryOperator:
 			if x.Op.IsAssignment() {
-				safe = false
+				return false
 			}
 		case *cast.UnaryOperator:
 			switch x.Op {
 			case cast.UnPreInc, cast.UnPreDec, cast.UnPostInc, cast.UnPostDec:
-				safe = false
+				return false
 			}
 		}
-		return safe
-	})
-	return safe
+	}
+	return true
 }
 
 // ---------------------------------------------------------------------

@@ -16,8 +16,9 @@ import (
 // every program of several seed corpora through both managers, driven by
 // RNGs in lockstep; mutant, ok flag and the next stream draw must agree.
 // The arena hands each re-parse back at the same *TranslationUnit
-// address, so a parent map surviving from the previous program would
-// steer Parents-based mutators (HoistDeclToTop) into stale nodes, and a
+// address (and its nodes at the previous ones'), so a node table or
+// parent state surviving from the previous program would steer
+// Parents-based mutators (HoistDeclToTop) into stale nodes, and a
 // surviving identifier set would shift GenerateUniqueName
 // (InsertForwardGoto).
 func TestResetToMatchesFresh(t *testing.T) {

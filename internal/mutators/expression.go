@@ -526,7 +526,7 @@ func replaceCallWithConstant(m *muast.Manager) bool {
 			return true
 		}
 		// A void call in statement position can become a no-op.
-		_, isStmt := pm[ce].(*cast.ExprStmt)
+		_, isStmt := pm.Of(ce).(*cast.ExprStmt)
 		return t.IsVoid() && isStmt
 	})
 	if len(cands) == 0 {
@@ -742,7 +742,7 @@ func incDecStmts(m *muast.Manager) []*cast.UnaryOperator {
 	return inBodies(m, func(uo *cast.UnaryOperator) bool {
 		switch uo.Op {
 		case cast.UnPreInc, cast.UnPreDec, cast.UnPostInc, cast.UnPostDec:
-			_, isStmt := pm[uo].(*cast.ExprStmt)
+			_, isStmt := pm.Of(uo).(*cast.ExprStmt)
 			return isStmt
 		}
 		return false
@@ -1038,7 +1038,7 @@ func conditionAlwaysTrue(m *muast.Manager) bool {
 	pm := m.Parents()
 	for _, c := range conds {
 		// Forcing a while/for condition true would hang; restrict to if.
-		if _, isIf := pm[c].(*cast.IfStmt); isIf {
+		if _, isIf := pm.Of(c).(*cast.IfStmt); isIf {
 			cands = append(cands, c)
 		}
 	}

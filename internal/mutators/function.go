@@ -132,7 +132,7 @@ func modifyFunctionReturnTypeToVoid(m *muast.Manager) bool {
 	}
 	pm := m.Parents()
 	for _, call := range m.CallsTo(fn) {
-		if _, ok := pm[call].(*cast.ExprStmt); ok {
+		if _, ok := pm.Of(call).(*cast.ExprStmt); ok {
 			// A statement-position call can simply keep calling.
 			continue
 		}

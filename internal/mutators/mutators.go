@@ -42,12 +42,13 @@ func reg(name, desc string, cat muast.Category, set muast.Set, creative bool, fn
 // inBodies returns every node of type T inside the bodies of the
 // unit's function definitions that satisfies pred (all when pred is
 // nil), function by function in muast.Find's walk order. It is the
-// mutators' collection step; a direct cast.Walk remains only where the
-// visitor prunes a subtree or stops early.
+// mutators' collection step; a scan that prunes a subtree jumps over it
+// in the node table, and a direct cast.Walk remains only where the
+// visitor stops early.
 func inBodies[T cast.Node](m *muast.Manager, pred func(T) bool) []T {
 	var out []T
 	for _, fn := range m.Functions() {
-		out = append(out, muast.Find(m, fn.Body, pred)...)
+		out = muast.FindAppend(m, out, fn.Body, pred)
 	}
 	return out
 }
@@ -59,34 +60,35 @@ func mutableIntExprs(m *muast.Manager) []cast.Expr {
 	pm := m.Parents()
 	var out []cast.Expr
 	for _, fn := range m.Functions() {
-		cast.Walk(fn.Body, func(n cast.Node) bool {
+		body := m.TU.Subtree(fn.Body)
+		for i := 0; i < len(body); i++ {
+			n := body[i]
 			// Do not descend into contexts requiring constants.
-			switch n.(type) {
-			case *cast.CaseStmt:
-				return false
+			if _, isCase := n.(*cast.CaseStmt); isCase {
+				i += len(m.TU.Subtree(n)) - 1
+				continue
 			}
 			e, ok := n.(cast.Expr)
 			if !ok {
-				return true
+				continue
 			}
 			if !e.Type().IsInteger() || !m.IsSideEffectFree(e) {
-				return true
+				continue
 			}
 			// Skip lvalues in assignment/&-operand position.
 			if parentRequiresLvalue(pm, e) {
-				return true
+				continue
 			}
 			out = append(out, e)
-			return true
-		})
+		}
 	}
 	return out
 }
 
 // parentRequiresLvalue reports whether e is used in a position that needs
 // an lvalue (assignment LHS, ++/--, address-of).
-func parentRequiresLvalue(pm cast.ParentMap, e cast.Expr) bool {
-	parent := pm[e]
+func parentRequiresLvalue(pm cast.Parents, e cast.Expr) bool {
+	parent := pm.Of(e)
 	switch p := parent.(type) {
 	case *cast.BinaryOperator:
 		return p.Op.IsAssignment() && p.LHS == e
@@ -106,25 +108,25 @@ func intLiterals(m *muast.Manager) []*cast.IntegerLiteral {
 	pm := m.Parents()
 	var out []*cast.IntegerLiteral
 	for _, fn := range m.Functions() {
-		cast.Walk(fn.Body, func(n cast.Node) bool {
-			if _, isCase := n.(*cast.CaseStmt); isCase {
-				return false
-			}
-			if il, ok := n.(*cast.IntegerLiteral); ok {
-				if !inConstantContext(pm, il) {
-					out = append(out, il)
+		body := m.TU.Subtree(fn.Body)
+		for i := 0; i < len(body); i++ {
+			switch x := body[i].(type) {
+			case *cast.CaseStmt:
+				i += len(m.TU.Subtree(x)) - 1 // skip the case's subtree
+			case *cast.IntegerLiteral:
+				if !inConstantContext(pm, x) {
+					out = append(out, x)
 				}
 			}
-			return true
-		})
+		}
 	}
 	return out
 }
 
 // inConstantContext reports whether n sits where C requires an
 // integer-constant expression (case labels, enum values, array bounds).
-func inConstantContext(pm cast.ParentMap, n cast.Node) bool {
-	for cur := pm[n]; cur != nil; cur = pm[cur] {
+func inConstantContext(pm cast.Parents, n cast.Node) bool {
+	for cur := pm.Of(n); cur != nil; cur = pm.Of(cur) {
 		switch cur.(type) {
 		case *cast.CaseStmt, *cast.EnumConstantDecl:
 			return true
@@ -154,7 +156,7 @@ func localVarDecls(m *muast.Manager, needInit bool) []*cast.VarDecl {
 // declStmtFor finds the DeclStmt containing vd.
 func declStmtFor(m *muast.Manager, vd *cast.VarDecl) *cast.DeclStmt {
 	pm := m.Parents()
-	if ds, ok := pm[vd].(*cast.DeclStmt); ok {
+	if ds, ok := pm.Of(vd).(*cast.DeclStmt); ok {
 		return ds
 	}
 	return nil

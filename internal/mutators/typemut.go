@@ -47,14 +47,14 @@ func retypeableLocals(m *muast.Manager) []*cast.VarDecl {
 		if _, ok := vd.Ty.T.(*cast.BasicType); !ok {
 			continue
 		}
-		ds, ok := pm[vd].(*cast.DeclStmt)
+		ds, ok := pm.Of(vd).(*cast.DeclStmt)
 		if !ok || len(ds.Decls) != 1 {
 			continue
 		}
 		// Address-taken variables pin their type via pointers.
 		addressed := false
 		for _, u := range m.UsesOf(vd) {
-			if uo, ok := pm[u].(*cast.UnaryOperator); ok && uo.Op == cast.UnAddr {
+			if uo, ok := pm.Of(u).(*cast.UnaryOperator); ok && uo.Op == cast.UnAddr {
 				addressed = true
 				break
 			}
@@ -78,7 +78,7 @@ func retypeLocal(m *muast.Manager, vd *cast.VarDecl, newTy string) bool {
 func usedInShiftOrMod(m *muast.Manager, vd *cast.VarDecl) bool {
 	pm := m.Parents()
 	for _, u := range m.UsesOf(vd) {
-		for cur := cast.Node(u); cur != nil; cur = pm[cur] {
+		for cur := cast.Node(u); cur != nil; cur = pm.Of(cur) {
 			switch p := cur.(type) {
 			case *cast.BinaryOperator:
 				switch p.Op {
@@ -130,7 +130,7 @@ func structToInt(m *muast.Manager) bool {
 		if len(m.UsesOf(vd)) > 0 {
 			continue // any member access would break
 		}
-		ds, ok := pm[vd].(*cast.DeclStmt)
+		ds, ok := pm.Of(vd).(*cast.DeclStmt)
 		if !ok || len(ds.Decls) != 1 {
 			continue
 		}
@@ -237,14 +237,14 @@ func decaySmallStruct(m *muast.Manager) bool {
 		if vd.Ty.Size() <= 0 || vd.Ty.Size() > 8 {
 			continue
 		}
-		ds, ok := pm[vd].(*cast.DeclStmt)
+		ds, ok := pm.Of(vd).(*cast.DeclStmt)
 		if !ok || len(ds.Decls) != 1 {
 			continue
 		}
 		// All uses must be direct member accesses (x.f).
 		allMembers := true
 		for _, u := range m.UsesOf(vd) {
-			me, ok := pm[u].(*cast.MemberExpr)
+			me, ok := pm.Of(u).(*cast.MemberExpr)
 			if !ok || me.IsArrow || me.Base != cast.Expr(u) {
 				allMembers = false
 				break
@@ -277,7 +277,7 @@ func decaySmallStruct(m *muast.Manager) bool {
 	}
 	// Rewrite each member access.
 	for _, u := range m.UsesOf(c.vd) {
-		me := pm[u].(*cast.MemberExpr)
+		me := pm.Of(u).(*cast.MemberExpr)
 		if me.FieldDecl == nil {
 			return false
 		}
@@ -287,6 +287,6 @@ func decaySmallStruct(m *muast.Manager) bool {
 			return false
 		}
 	}
-	ds := pm[c.vd].(*cast.DeclStmt)
+	ds := pm.Of(c.vd).(*cast.DeclStmt)
 	return m.ReplaceNode(ds, "long long "+combined+" = 0;")
 }

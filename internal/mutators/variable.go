@@ -199,7 +199,7 @@ func removeVarInitializer(m *muast.Manager) bool {
 			continue
 		}
 		// Keep loop-init declarations intact ("for (int i = 0;...)").
-		if _, inFor := pm[pm[vd]].(*cast.ForStmt); inFor {
+		if _, inFor := pm.Of(pm.Of(vd)).(*cast.ForStmt); inFor {
 			continue
 		}
 		cands = append(cands, vd)
@@ -217,7 +217,7 @@ func duplicateVarDecl(m *muast.Manager) bool {
 	var filtered []*cast.VarDecl
 	pm := m.Parents()
 	for _, vd := range cands {
-		if _, inFor := pm[pm[vd]].(*cast.ForStmt); inFor {
+		if _, inFor := pm.Of(pm.Of(vd)).(*cast.ForStmt); inFor {
 			continue
 		}
 		if m.IsSideEffectFree(vd.Init) {
@@ -244,7 +244,7 @@ func promoteLocalToGlobal(m *muast.Manager) bool {
 		if vd.Storage != cast.StorageNone {
 			continue
 		}
-		if _, inFor := pm[pm[vd]].(*cast.ForStmt); inFor {
+		if _, inFor := pm.Of(pm.Of(vd)).(*cast.ForStmt); inFor {
 			continue
 		}
 		// Initializer must be a constant for file scope.
@@ -423,7 +423,7 @@ func splitVarDecl(m *muast.Manager) bool {
 		if _, isList := vd.Init.(*cast.InitListExpr); isList {
 			continue
 		}
-		if _, inFor := pm[pm[vd]].(*cast.ForStmt); inFor {
+		if _, inFor := pm.Of(pm.Of(vd)).(*cast.ForStmt); inFor {
 			continue
 		}
 		ds := declStmtFor(m, vd)
@@ -453,16 +453,8 @@ func initializeUninitializedVar(m *muast.Manager) bool {
 		return false
 	}
 	vd := muast.RandElement(m, cands)
-	return m.InsertAfter(nodeRange(vd.NameRange), " = "+m.DefaultValueExpr(vd.Ty))
+	return m.InsertAfterRange(vd.NameRange, " = "+m.DefaultValueExpr(vd.Ty))
 }
-
-// nodeRange adapts a bare SourceRange to the Node interface for the
-// Insert* helpers.
-type rangeNode struct{ r cast.SourceRange }
-
-func (rn rangeNode) Kind() cast.NodeKind     { return cast.KindTranslationUnit }
-func (rn rangeNode) Range() cast.SourceRange { return rn.r }
-func nodeRange(r cast.SourceRange) cast.Node { return rangeNode{r} }
 
 func varToArray(m *muast.Manager) bool {
 	var cands []*cast.VarDecl
@@ -476,7 +468,7 @@ func varToArray(m *muast.Manager) bool {
 				continue
 			}
 		}
-		if _, inFor := pm[pm[vd]].(*cast.ForStmt); inFor {
+		if _, inFor := pm.Of(pm.Of(vd)).(*cast.ForStmt); inFor {
 			continue
 		}
 		cands = append(cands, vd)
@@ -485,7 +477,7 @@ func varToArray(m *muast.Manager) bool {
 		return false
 	}
 	vd := muast.RandElement(m, cands)
-	if !m.InsertAfter(nodeRange(vd.NameRange), "[1]") {
+	if !m.InsertAfterRange(vd.NameRange, "[1]") {
 		return false
 	}
 	if vd.Init != nil {
@@ -543,7 +535,7 @@ func addStaticToLocal(m *muast.Manager) bool {
 		if vd.Init != nil && !isConstInit(vd.Init) {
 			continue // static initializers must be constant
 		}
-		if _, inFor := pm[pm[vd]].(*cast.ForStmt); inFor {
+		if _, inFor := pm.Of(pm.Of(vd)).(*cast.ForStmt); inFor {
 			continue
 		}
 		cands = append(cands, vd)

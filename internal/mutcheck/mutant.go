@@ -242,10 +242,10 @@ func warn(check string, n cast.Node, format string, args ...any) Diagnostic {
 
 func checkDivByZero(tu *cast.TranslationUnit) []Diagnostic {
 	var out []Diagnostic
-	cast.Walk(tu, func(n cast.Node) bool {
+	for _, n := range tu.Subtree(tu) {
 		b, ok := n.(*cast.BinaryOperator)
 		if !ok {
-			return true
+			continue
 		}
 		switch b.Op {
 		case cast.BinDiv, cast.BinRem, cast.BinDivAssign, cast.BinRemAssign:
@@ -254,8 +254,7 @@ func checkDivByZero(tu *cast.TranslationUnit) []Diagnostic {
 					"right operand of %q is constant zero", b.Op.String()))
 			}
 		}
-		return true
-	})
+	}
 	return out
 }
 
@@ -267,7 +266,7 @@ func checkDuplicateLabels(tu *cast.TranslationUnit) []Diagnostic {
 			continue
 		}
 		seen := map[string]bool{}
-		cast.Walk(fd.Body, func(n cast.Node) bool {
+		for _, n := range tu.Subtree(fd.Body) {
 			if l, lok := n.(*cast.LabelStmt); lok {
 				if seen[l.Name] {
 					out = append(out, warn(CheckDuplicateLabel, l,
@@ -275,70 +274,67 @@ func checkDuplicateLabels(tu *cast.TranslationUnit) []Diagnostic {
 				}
 				seen[l.Name] = true
 			}
-			return true
-		})
+		}
 	}
 	return out
 }
 
 func checkDuplicateCases(tu *cast.TranslationUnit) []Diagnostic {
 	var out []Diagnostic
-	cast.Walk(tu, func(n cast.Node) bool {
+	for _, n := range tu.Subtree(tu) {
 		sw, ok := n.(*cast.SwitchStmt)
 		if !ok {
-			return true
+			continue
 		}
 		seen := map[int64]bool{}
-		cast.Walk(sw.Body, func(m cast.Node) bool {
-			if inner, iok := m.(*cast.SwitchStmt); iok && inner != sw {
-				return false // nested switch owns its own labels
-			}
-			if cs, cok := m.(*cast.CaseStmt); cok {
-				if v, vok := constInt(cs.Value); vok {
+		body := tu.Subtree(sw.Body)
+		for i := 0; i < len(body); i++ {
+			switch x := body[i].(type) {
+			case *cast.SwitchStmt:
+				i += len(tu.Subtree(x)) - 1 // a nested switch owns its own labels
+			case *cast.CaseStmt:
+				if v, vok := constInt(x.Value); vok {
 					if seen[v] {
-						out = append(out, warn(CheckDuplicateCase, cs,
+						out = append(out, warn(CheckDuplicateCase, x,
 							"duplicate case value %d", v))
 					}
 					seen[v] = true
 				}
 			}
-			return true
-		})
-		return true
-	})
+		}
+	}
 	return out
 }
 
 func checkConstIndexOOB(tu *cast.TranslationUnit) []Diagnostic {
 	var out []Diagnostic
-	cast.Walk(tu, func(n cast.Node) bool {
+	for _, n := range tu.Subtree(tu) {
 		sub, ok := n.(*cast.ArraySubscriptExpr)
 		if !ok {
-			return true
+			continue
 		}
 		bt := sub.Base.Type()
 		if bt.T == nil {
-			return true
+			continue
 		}
 		arr, aok := bt.Canonical().T.(*cast.ArrayType)
 		if !aok || arr.Size <= 0 {
-			return true
+			continue
 		}
 		if idx, iok := constInt(sub.Index); iok && (idx < 0 || idx >= arr.Size) {
 			out = append(out, warn(CheckConstIndexOOB, sub,
 				"constant index %d is outside the array bound %d", idx, arr.Size))
 		}
-		return true
-	})
+	}
 	return out
 }
 
 func checkUnreachable(tu *cast.TranslationUnit) []Diagnostic {
 	var out []Diagnostic
-	cast.Walk(tu, func(n cast.Node) bool {
+	for _, n := range tu.Subtree(tu) {
 		cs, ok := n.(*cast.CompoundStmt)
 		if !ok {
-			return true
+			continue
 		}
 		for i, st := range cs.Stmts {
 			if !isJump(st) || i+1 >= len(cs.Stmts) {
@@ -352,8 +348,7 @@ func checkUnreachable(tu *cast.TranslationUnit) []Diagnostic {
 				"code after the %s cannot execute", st.Kind()))
 			break // one report per block is enough
 		}
-		return true
-	})
+	}
 	return out
 }
 
@@ -377,22 +372,21 @@ func isReentry(s cast.Stmt) bool {
 
 func checkUnusedLocals(tu *cast.TranslationUnit) []Diagnostic {
 	used := map[cast.Decl]bool{}
-	cast.Walk(tu, func(n cast.Node) bool {
+	for _, n := range tu.Subtree(tu) {
 		if dr, ok := n.(*cast.DeclRefExpr); ok && dr.Ref != nil {
 			used[dr.Ref] = true
 		}
-		return true
-	})
+	}
 	var out []Diagnostic
 	for _, d := range tu.Decls {
 		fd, ok := d.(*cast.FunctionDecl)
 		if !ok || fd.Body == nil {
 			continue
 		}
-		cast.Walk(fd.Body, func(n cast.Node) bool {
+		for _, n := range tu.Subtree(fd.Body) {
 			ds, ok := n.(*cast.DeclStmt)
 			if !ok {
-				return true
+				continue
 			}
 			for _, ld := range ds.Decls {
 				if v, vok := ld.(*cast.VarDecl); vok && !used[cast.Decl(v)] {
@@ -400,8 +394,7 @@ func checkUnusedLocals(tu *cast.TranslationUnit) []Diagnostic {
 						"variable %q is declared but never used", v.Name))
 				}
 			}
-			return true
-		})
+		}
 	}
 	return out
 }

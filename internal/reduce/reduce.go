@@ -168,12 +168,9 @@ func dropStatements(src string, oracle Oracle, r *Result, cfg Config) (string, b
 			return src, changed
 		}
 		var stmts []cast.Stmt
-		cast.Walk(tu, func(n cast.Node) bool {
-			if cs, ok := n.(*cast.CompoundStmt); ok {
-				stmts = append(stmts, cs.Stmts...)
-			}
-			return true
-		})
+		for _, n := range cast.CollectKind(tu, cast.KindCompoundStmt) {
+			stmts = append(stmts, n.(*cast.CompoundStmt).Stmts...)
+		}
 		// Largest first.
 		for i := 0; i < len(stmts); i++ {
 			for j := i + 1; j < len(stmts); j++ {
@@ -212,7 +209,7 @@ func simplifyBranches(src string, oracle Oracle, r *Result, cfg Config) (string,
 			text string
 		}
 		var cands []repl
-		cast.Walk(tu, func(n cast.Node) bool {
+		for _, n := range tu.Subtree(tu) {
 			switch x := n.(type) {
 			case *cast.IfStmt:
 				cands = append(cands, repl{x.Range(), src[x.Then.Range().Begin:x.Then.Range().End]})
@@ -224,8 +221,7 @@ func simplifyBranches(src string, oracle Oracle, r *Result, cfg Config) (string,
 			case *cast.ForStmt:
 				cands = append(cands, repl{x.Range(), src[x.Body.Range().Begin:x.Body.Range().End]})
 			}
-			return true
-		})
+		}
 		applied := false
 		for _, c := range cands {
 			cand := src[:c.rng.Begin] + c.text + src[c.rng.End:]

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/icsnju/metamut-go/internal/flight"
 	"github.com/icsnju/metamut-go/internal/resil/chaos"
 	"github.com/icsnju/metamut-go/internal/serve/heal"
 )
@@ -223,7 +225,9 @@ func TestDaemonDiskPressureLadder(t *testing.T) {
 // governor capped keeps it capped across a kill and restart. The
 // restarted daemon's governor starts calm, but the job record says
 // capped, so the restarted job neither appends after the gap nor
-// repairs the journal: the file ends as the cap left it.
+// repairs the journal: the file ends as the cap left it. It does
+// replay the file read-only, so its running report starts with the
+// crashes the capped prefix holds.
 func TestDaemonCappedJournalStaysCapped(t *testing.T) {
 	dir := t.TempDir()
 	d1 := newTestDaemon(t, dir, 1)
@@ -235,7 +239,7 @@ func TestDaemonCappedJournalStaysCapped(t *testing.T) {
 	deadline := time.Now().Add(time.Minute)
 	for {
 		rec, _ := d1.Job(id)
-		if rec.Done > 0 {
+		if rec.Crashes > 0 {
 			break
 		}
 		if rec.State.Terminal() || time.Now().After(deadline) {
@@ -258,18 +262,42 @@ func TestDaemonCappedJournalStaysCapped(t *testing.T) {
 	}
 
 	d2 := newTestDaemon(t, dir, 1)
+	j := d2.jobs[id]
+	var want []flight.CrashRow
+	events, _ := flight.ReadJournal(bytes.NewReader(capped))
+	for _, ev := range events {
+		if ev.Kind == "crash" && ev.Epoch <= j.camp.Epoch() {
+			want = append(want, flight.CrashRow{Epoch: ev.Epoch, Stream: ev.Stream, Tick: ev.Tick,
+				Signature: ev.Data["sig"].(string)})
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("the capped prefix holds no crash before the resumed epoch; the replay shows nothing")
+	}
+	got := j.camp.Flight.Report().Crashes
+	if len(got) != len(want) {
+		t.Fatalf("restarted job's report has %d crashes, the capped prefix %d", len(got), len(want))
+	}
+	for i, c := range got {
+		if w := want[i]; c.Epoch != w.Epoch || c.Stream != w.Stream || c.Tick != w.Tick || c.Signature != w.Signature {
+			t.Fatalf("crash %d: report %+v, prefix %+v", i, c, w)
+		}
+	}
+	if !j.camp.PartialJournal {
+		t.Error("a capped job resumed without PartialJournal")
+	}
 	go d2.Run()
 	rec := waitJobs(t, d2, []string{id})[id]
 	d2.Stop()
 	if rec.State != Done || !rec.JournalCapped {
 		t.Fatalf("restarted job ended %s, capped %v; want DONE and capped", rec.State, rec.JournalCapped)
 	}
-	got, err := os.ReadFile(path)
+	after, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != string(capped) {
-		t.Errorf("capped journal changed across the restart: %d bytes, then %d", len(capped), len(got))
+	if !bytes.Equal(after, capped) {
+		t.Errorf("capped journal changed across the restart: %d bytes, then %d", len(capped), len(after))
 	}
 }
 

@@ -219,11 +219,13 @@ func (d *Daemon) buildRuntime(rec *JobRecord) (*job, error) {
 	}
 	ckptPath := filepath.Join(dir, CheckpointFile)
 	journal := filepath.Join(dir, JournalFile)
+	capped := ""
 	if rec.JournalCapped || d.heal.CapJournals() {
 		// Capped for the job's lifetime, restarts included, so the file
-		// never carries a gap: Build neither writes nor replays it.
+		// never carries a gap: Build neither writes nor repairs it, and
+		// a resumed job replays it read-only below.
 		rec.JournalCapped = true
-		journal = ""
+		capped, journal = journal, ""
 	}
 	// anoms feeds the supervisor: the hook runs on the barrier goroutine
 	// (the coordinator, mid-slice) and the post-slice verdict reads the
@@ -255,6 +257,16 @@ func (d *Daemon) buildRuntime(rec *JobRecord) (*job, error) {
 	}
 	if err != nil {
 		return nil, err
+	}
+	if capped != "" && camp.From != "" {
+		// The console and running report resume from what the cap
+		// left; PartialJournal stays set, as the file has a gap.
+		prefix, err := readCappedJournal(capped, camp.Epoch(), camp.Done())
+		if err != nil {
+			camp.Close()
+			return nil, err
+		}
+		camp.Flight.RestoreWatchdogs(prefix)
 	}
 	if camp.PartialJournal && journal != "" {
 		d.cfg.Logf("serve: job %s: flight watchdogs and report resume from a partial journal", rec.ID)

@@ -139,9 +139,17 @@ func (d *Daemon) Handler() http.Handler {
 	return mux
 }
 
-func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeJobSpec reads the JSON job spec a submission carries (its
+// first megabyte, first value); Submit normalizes and validates it.
+func decodeJobSpec(r io.Reader) (JobSpec, error) {
 	var spec JobSpec
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
+	err := json.NewDecoder(io.LimitReader(r, 1<<20)).Decode(&spec)
+	return spec, err
+}
+
+func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeJobSpec(r.Body)
+	if err != nil {
 		writeError(w, &Error{Code: CodeBadSpec, Status: 400, Message: "serve: bad job spec JSON: " + err.Error()})
 		return
 	}

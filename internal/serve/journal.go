@@ -104,8 +104,23 @@ func repairJournal(path string, snap *engine.Snapshot, ckptBytes int) ([]byte, e
 // ckptBytes is the resumed checkpoint file's size (the confirmation
 // line's payload).
 func repairLines(data []byte, snap *engine.Snapshot, ckptBytes int) ([]byte, error) {
-	var out bytes.Buffer
-	sawCkpt := false
+	out, sawCkpt := cutLines(data, snap.Epoch, snap.Done)
+	if !sawCkpt && snap.Done > 0 {
+		// Killed between checkpoint install and its journal line: the
+		// confirmation the uninterrupted run would carry.
+		line, err := flight.EncodeLine(flight.CheckpointEvent(snap.Epoch, snap.Done, ckptBytes))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, line...)
+	}
+	return out, nil
+}
+
+// cutLines is repairLines' cut (steps 1-3) for a campaign resumed at
+// epoch with done steps: the kept lines, and whether they hold that
+// barrier's checkpoint confirmation.
+func cutLines(data []byte, epoch, done int) (out []byte, sawCkpt bool) {
 	for _, line := range bytes.Split(data, []byte{'\n'}) {
 		if len(line) == 0 {
 			continue
@@ -117,28 +132,36 @@ func repairLines(data []byte, snap *engine.Snapshot, ckptBytes int) ([]byte, err
 			// torn line).
 			break
 		}
-		if ev.Epoch > snap.Epoch {
+		if ev.Epoch > epoch {
 			break
 		}
 		if ev.Kind == "end" {
 			// The campaign will re-run its tail and re-emit completion.
 			continue
 		}
-		if done, _ := ev.Data["done"].(float64); ev.Kind == "checkpoint" &&
-			ev.Epoch == snap.Epoch && int(done) == snap.Done {
+		if d, _ := ev.Data["done"].(float64); ev.Kind == "checkpoint" &&
+			ev.Epoch == epoch && int(d) == done {
 			sawCkpt = true
 		}
-		out.Write(line)
-		out.WriteByte('\n')
+		out = append(out, line...)
+		out = append(out, '\n')
 	}
-	if !sawCkpt && snap.Done > 0 {
-		// Killed between checkpoint install and its journal line: the
-		// confirmation the uninterrupted run would carry.
-		line, err := flight.EncodeLine(flight.CheckpointEvent(snap.Epoch, snap.Done, ckptBytes))
-		if err != nil {
-			return nil, err
-		}
-		out.Write(line)
+	return out, sawCkpt
+}
+
+// readCappedJournal returns what a capped job resumed at epoch with done
+// steps replays from its journal at path: the lines cutLines keeps. The
+// file is only read — a capped journal is never repaired or appended
+// to, so it stays as the cap left it — and a missing one replays
+// nothing.
+func readCappedJournal(path string, epoch, done int) ([]byte, error) {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
 	}
-	return out.Bytes(), nil
+	if err != nil {
+		return nil, err
+	}
+	out, _ := cutLines(data, epoch, done)
+	return out, nil
 }
